@@ -6,6 +6,13 @@ the fractional-exponential series is trusted up to t/tau = 10 and the
 Havriliak-Negami series up to t/tau0 = 5; beyond those the integral
 representation respectively the numerical inverse Laplace transform takes
 over; far tails of the relaxation function use the power-law expansion.
+
+The t/tau0 = 5 crossover governs the HN kernel, the HN relaxation function
+and the exact creep-resolvent reductions (beta = 1 Abel, alpha = 1
+Koltunov, and the Debye error).  The general HN creep resolvent
+(alpha < 1 and beta < 1) is inverted by fixed Talbot at every t > 0: its
+double series overflows or cancels to noise inside t/tau0 <= 5 at small
+alpha.
 """
 
 from __future__ import annotations
@@ -106,7 +113,10 @@ def _resolvent(model, t, ctl, quad, inversion):
         return abel_kernel(model.alpha, model.tau, t), "series"
     if model.family in ("RzhanitsynDavidson", "HavriliakNegami"):
         p = _as_hn(model)
-        if theta <= HN_SERIES_CROSSOVER:
+        # Only the exact reductions, the t = 0 limit and the Debye error stay
+        # on the series route (see the module docstring).
+        general = p.alpha < 1.0 and p.beta < 1.0
+        if t <= 0.0 or (not general and theta <= HN_SERIES_CROSSOVER):
             return hn_creep_resolvent(p, t, ctl), "series"
         image = lambda s: volterra_resolvent_transform(hn_normalized_image(p, s))
         return inverse_laplace(image, t, inversion), "quadrature"

@@ -209,11 +209,16 @@ def p_kernel(
     def terms():
         weight = 1.0 / (n_eps + 1.0)
         k = 0
+        # 1F1(k alpha + 1, 2, -theta) is the first Kummer value of step k - 1
+        # (alpha * k == k * alpha exactly), so it is carried, not recomputed.
+        previous = 0.0
         while True:
-            inner = alpha * (k + 1) * kummer_1f1(alpha * (k + 1) + 1.0, 2.0, -theta, ctl)
+            current = kummer_1f1(alpha * (k + 1) + 1.0, 2.0, -theta, ctl)
+            inner = alpha * (k + 1) * current
             if k > 0:
-                inner -= k * alpha * kummer_1f1(k * alpha + 1.0, 2.0, -theta, ctl)
+                inner -= k * alpha * previous
             yield weight * inner
+            previous = current
             weight *= ratio
             k += 1
 

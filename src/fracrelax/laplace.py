@@ -16,6 +16,7 @@ completely monotone images this package produces.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -48,6 +49,21 @@ class InverseLaplaceSpec:
 DEFAULT_INVERSION = InverseLaplaceSpec()
 
 
+@functools.lru_cache(maxsize=16)
+def _talbot_nodes(node_count: int) -> tuple[tuple[float, complex, complex], ...]:
+    """Per-node constants of the fixed-Talbot rule for k = 1..M-1:
+    theta_k, the contour direction cot theta_k + i and the weight
+    1 + i sigma_k, built once per node count."""
+    m = node_count
+    nodes = []
+    for k in range(1, m):
+        theta = k * math.pi / m
+        cot = math.cos(theta) / math.sin(theta)
+        sigma = theta + (theta * cot - 1.0) * cot
+        nodes.append((theta, complex(cot, 1.0), complex(1.0, sigma)))
+    return tuple(nodes)
+
+
 def talbot(transform, t: float, node_count: int = 32, scale: float = 1.0) -> float:
     """Fixed-Talbot inversion at time t.
 
@@ -61,12 +77,9 @@ def talbot(transform, t: float, node_count: int = 32, scale: float = 1.0) -> flo
     r = scale * 2.0 * m / (5.0 * t)
     total = 0.5 * math.exp(r * t) * complex(transform(complex(r, 0.0))).real
     largest = abs(total)
-    for k in range(1, m):
-        theta = k * math.pi / m
-        cot = math.cos(theta) / math.sin(theta)
-        s = r * theta * complex(cot, 1.0)
-        sigma = theta + (theta * cot - 1.0) * cot
-        term = (cmath.exp(s * t) * transform(s) * complex(1.0, sigma)).real
+    for theta, direction, weight in _talbot_nodes(m):
+        s = r * theta * direction
+        term = (cmath.exp(s * t) * transform(s) * weight).real
         total += term
         largest = max(largest, abs(term))
     value = total * r / m

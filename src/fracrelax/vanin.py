@@ -4,6 +4,7 @@ confluent-hypergeometric integral."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -21,7 +22,7 @@ class VaninDistribution:
 
         A = [2^(b/2) a sigma^(1+b) gamma(1 + b/2) 1F1(1 + b/2, 3/2, a^2/2)]^(-1)
 
-    and is computed once at construction.
+    and is computed once per distribution and series control.
     """
 
     a: float
@@ -38,7 +39,7 @@ class VaninDistribution:
 
     @property
     def normalizer(self) -> float:
-        return normalizer(self)
+        return _cached_normalizer(self, DEFAULT_CONTROL)
 
 
 def normalizer(d: VaninDistribution, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
@@ -53,6 +54,11 @@ def normalizer(d: VaninDistribution, ctl: SeriesControl = DEFAULT_CONTROL) -> fl
     return 1.0 / value
 
 
+@functools.lru_cache(maxsize=64)
+def _cached_normalizer(d: VaninDistribution, ctl: SeriesControl) -> float:
+    return normalizer(d, ctl)
+
+
 def vanin_pdf(d: VaninDistribution, x: float, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
     """Density at x >= 0; zero at the origin for every admissible b."""
     if x < 0.0:
@@ -65,8 +71,8 @@ def vanin_pdf(d: VaninDistribution, x: float, ctl: SeriesControl = DEFAULT_CONTR
     if z > 30.0:
         # sinh(z) = e^z/2 up to e^(-2z); combine exponents (sinh alone
         # overflows long before the Gaussian factor wins)
-        return 0.5 * normalizer(d, ctl) * math.exp(d.b * math.log(x) + w + z)
-    return normalizer(d, ctl) * x**d.b * math.exp(w) * math.sinh(z)
+        return 0.5 * _cached_normalizer(d, ctl) * math.exp(d.b * math.log(x) + w + z)
+    return _cached_normalizer(d, ctl) * x**d.b * math.exp(w) * math.sinh(z)
 
 
 def vanin_moment(

@@ -12,6 +12,7 @@ from fracrelax.spectra import hn_modulus
 
 DEBYE = '{"family":"HavriliakNegami","alpha":1.0,"beta":1.0,"tau":1.0}'
 RABOTNOV = '{"family":"Rabotnov","alpha":0.5,"tau":1.0}'
+HN_GENERAL = '{"family":"HavriliakNegami","alpha":0.2,"beta":0.9,"tau":1.0}'
 
 
 def run_cli(args):
@@ -75,6 +76,14 @@ class TestEval:
         )
         assert rc == 3
         assert "t = " in err
+
+    def test_general_hn_resolvent_has_no_series_route(self, capsys):
+        # the general HN creep resolvent is inverted at every t > 0, so a
+        # forced series route is refused rather than summed
+        rc = main(["eval", "--model", HN_GENERAL, "--grid", "0.5:2:3",
+                   "--quantity", "resolvent", "--method", "series"])
+        assert rc == 3
+        assert "series route not valid" in capsys.readouterr().err
 
     def test_determinism_across_runs_and_threads(self, tmp_path):
         outs = []
@@ -174,6 +183,17 @@ class TestInvertCommand:
         assert rc == 0
         for line in out.read_text().splitlines()[1:]:
             assert float(line.split(",")[3]) < 1e-5
+
+
+    def test_general_hn_resolvent_leaves_series_blank(self, tmp_path):
+        out = tmp_path / "inv.csv"
+        rc = main(["invert", "--model", HN_GENERAL, "--grid", "0.5:2:3",
+                   "--quantity", "resolvent", "--out", str(out)])
+        assert rc == 0
+        for line in out.read_text().splitlines()[1:]:
+            t_str, series, inverted, rel = line.split(",")
+            assert series == "" and rel == ""
+            assert float(inverted) > 0.0
 
 
 class TestValidateCommand:
