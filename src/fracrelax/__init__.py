@@ -29,6 +29,7 @@ from .kernels import (
     p_kernel,
     p_nu_response,
     q_kernel,
+    rabotnov_relaxation,
 )
 from .laplace import InverseLaplaceSpec, inverse_laplace
 from .quadrature import (
@@ -87,6 +88,7 @@ __all__ = [
     "hn_creep_resolvent",
     "hn_relaxation_function",
     "p_nu_response",
+    "rabotnov_relaxation",
     # resolvent algebra
     "ResolventSpec",
     "basic_operator_transform",

@@ -6,10 +6,13 @@ the fractional-exponential series is trusted up to t/tau = 10 and the
 Havriliak-Negami series up to t/tau0 = 5; beyond those the integral
 representation respectively the numerical inverse Laplace transform takes
 over; far tails of the relaxation function use the power-law expansion.
+The Rabotnov relaxation series route is E_alpha(-theta^alpha) summed
+directly (``rabotnov_relaxation``).
 
 The t/tau0 = 5 crossover governs the HN kernel, the HN relaxation function
 and the exact creep-resolvent reductions (beta = 1 Abel, alpha = 1
-Koltunov, and the Debye error).  The general HN creep resolvent
+Koltunov).  Debye (alpha = beta = 1, also Rzhanitsyn-Davidson alpha = 1)
+raises NoResolventError at every t.  The general HN creep resolvent
 (alpha < 1 and beta < 1) is inverted by fixed Talbot at every t > 0: its
 double series overflows or cancels to noise inside t/tau0 <= 5 at small
 alpha.
@@ -29,6 +32,7 @@ from .kernels import (
     hn_creep_resolvent,
     hn_relaxation_function,
     hn_relaxation_kernel,
+    rabotnov_relaxation,
     rzhanitsyn_kernel,
 )
 from .laplace import DEFAULT_INVERSION, InverseLaplaceSpec, inverse_laplace
@@ -36,7 +40,6 @@ from .quadrature import (
     DEFAULT_QUADRATURE,
     QuadratureSpec,
     eh_alpha_integral,
-    eh_conv_unity_series,
     i_alpha,
 )
 from .resolvent import volterra_resolvent_transform
@@ -114,9 +117,11 @@ def _resolvent(model, t, ctl, quad, inversion):
     if model.family in ("RzhanitsynDavidson", "HavriliakNegami"):
         p = _as_hn(model)
         # Only the exact reductions, the t = 0 limit and the Debye error stay
-        # on the series route (see the module docstring).
+        # on the series route (see the module docstring).  Debye raises at
+        # every t: Talbot of its image R/(1 - R) = 1/(s tau0) would return 1/tau0.
         general = p.alpha < 1.0 and p.beta < 1.0
-        if t <= 0.0 or (not general and theta <= HN_SERIES_CROSSOVER):
+        debye = p.alpha == 1.0 and p.beta == 1.0
+        if t <= 0.0 or debye or (not general and theta <= HN_SERIES_CROSSOVER):
             return hn_creep_resolvent(p, t, ctl), "series"
         image = lambda s: volterra_resolvent_transform(hn_normalized_image(p, s))
         return inverse_laplace(image, t, inversion), "quadrature"
@@ -132,7 +137,7 @@ def _relaxation(model, t, ctl, quad, inversion):
         if model.alpha == 1.0:
             return math.exp(-theta), "series"
         if theta <= EH_SERIES_CROSSOVER:
-            return 1.0 - eh_conv_unity_series(model.alpha, model.tau, theta, quad, ctl), "series"
+            return rabotnov_relaxation(model.alpha, model.tau, t, ctl), "series"
         if theta <= _ASYMPTOTIC_CROSSOVER:
             return i_alpha(model.alpha, theta, quad), "quadrature"
         return _mittag_leffler_tail(model.alpha, theta), "asymptotic"

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from .errors import BranchDegeneracyError, NoResolventError
 from .specfun import (
     DEFAULT_CONTROL,
+    EH_SERIES_CROSSOVER,
     SeriesControl,
     eh_alpha,
     gamma,
@@ -42,6 +43,7 @@ __all__ = [
     "p_nu_response",
     "abel_kernel",
     "rzhanitsyn_kernel",
+    "rabotnov_relaxation",
 ]
 
 # The alternating HN power series carries gamma-growth coefficients; past
@@ -136,6 +138,43 @@ def abel_kernel(alpha: float, tau: float, t: float) -> float:
 def rzhanitsyn_kernel(alpha: float, tau: float, t: float) -> float:
     """Rzhanitsyn (Davidson-Cole) kernel (t/tau)^(alpha-1) e^(-t/tau) / (tau gamma(alpha))."""
     return abel_kernel(alpha, tau, t) * math.exp(-t / tau)
+
+
+def rabotnov_relaxation(
+    alpha: float, tau: float, t: float, ctl: SeriesControl = DEFAULT_CONTROL
+) -> float:
+    """Rabotnov (Cole-Cole) relaxation function, series route:
+
+        E_alpha(-theta^alpha) = sum_n (-1)^n theta^(alpha n) / gamma(alpha n + 1),
+
+    theta = t/tau.  It equals 1 - tau^-alpha int_0^t eh(s) ds and the
+    spectral integral I_alpha(theta); 1 at t = 0, exp(-theta) at alpha = 1.
+    Valid for theta <= EH_SERIES_CROSSOVER, like :func:`eh_alpha`.
+    """
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    if tau <= 0.0:
+        raise ValueError(f"tau must be > 0, got {tau}")
+    _check_time(t)
+    if t == 0.0:
+        return 1.0
+    theta = t / tau
+    if theta > EH_SERIES_CROSSOVER:
+        raise ValueError(
+            f"Rabotnov relaxation series valid for t/tau <= {EH_SERIES_CROSSOVER}; "
+            f"got {theta:.3g} (use the spectral integral)"
+        )
+    ln_z = alpha * math.log(theta)
+
+    def terms():
+        # log space, as in eh_alpha: theta^(alpha n) and gamma(alpha n + 1)
+        # overflow separately long before their ratio does.
+        n = 0
+        while True:
+            yield (-1.0) ** n * math.exp(n * ln_z - ln_gamma(alpha * n + 1.0))
+            n += 1
+
+    return sum_series(terms(), ctl, what="Rabotnov relaxation series")
 
 
 def chgf_relaxation_S(

@@ -339,7 +339,6 @@ def asymptotic_tail(
     m: float,
     alpha: float,
     lambda0: float = 0.0,
-    kappa1: float = 0.0,
 ) -> float:
     """Large-time estimate of the convolution-with-unity plateaus:
 
@@ -347,12 +346,9 @@ def asymptotic_tail(
         Q:  k(1-m) [1 - k a (1+lambda0-k)^-2 theta^(-a-1) e^-theta / gamma(1-a)]
         P:  k(1-m) [1 - k theta^-a / (gamma(a-1) (lambda0+1))]
 
-    The auxiliary symbols k, lambda0, kappa1 are caller-supplied (kappa1
-    enters only through the caller's choice of resolvent shift and is
-    accepted for interface completeness).  Valid in the theta >= 10 regime;
-    smaller theta produces a warning, not an error.
+    The auxiliary symbols k and lambda0 are caller-supplied.  Valid in the
+    theta >= 10 regime; smaller theta produces a warning, not an error.
     """
-    del kappa1
     if theta < 10.0:
         warnings.warn(
             f"asymptotic tail requested at theta = {theta:.3g} < 10 (outside "

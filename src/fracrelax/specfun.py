@@ -9,6 +9,7 @@ a shared ``SeriesControl`` truncation policy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -128,8 +129,16 @@ def gamma(x: float) -> float:
     return _SQRT_2PI * t ** (z + 0.5) * math.exp(-t) * a
 
 
+@functools.lru_cache(maxsize=4096)
 def ln_gamma(x: float) -> float:
-    """log(gamma(x)) for x > 0; safe for arguments where gamma overflows."""
+    """log(gamma(x)) for x > 0; safe for arguments where gamma overflows.
+
+    Memoized: a grid evaluates one model at many t, so the gamma-growth
+    coefficients of its series repeat from point to point.  The cache is
+    bounded (sized for one grid's coefficients) and thread-safe, and a
+    cached value is bitwise the computed one; poles raise every time, since
+    exceptions are not cached.
+    """
     if x <= 0.0:
         raise PoleError(f"ln_gamma requires x > 0, got {x}")
     if x < 0.5:

@@ -23,6 +23,7 @@ from .kernels import (
     hn_relaxation_function,
     hn_relaxation_kernel,
     p_nu_response,
+    rabotnov_relaxation,
     rzhanitsyn_kernel,
 )
 from .laplace import talbot
@@ -338,8 +339,12 @@ def check_i_alpha_partition() -> tuple[float, float]:
     worst = 0.0
     for alpha in (0.25, 0.5, 0.75):
         for theta in (0.1, 1.0, 4.0):
-            total = qd.i_alpha(alpha, theta) + qd.eh_conv_unity_series(alpha, 1.0, theta)
-            worst = max(worst, abs(total - 1.0))
+            # three routes to E_alpha(-theta^alpha): spectral integral,
+            # quadrature of the eh series, and its own Mittag-Leffler series
+            spectral = qd.i_alpha(alpha, theta)
+            total = spectral + qd.eh_conv_unity_series(alpha, 1.0, theta)
+            series = rabotnov_relaxation(alpha, 1.0, theta)
+            worst = max(worst, abs(total - 1.0), abs(series - spectral))
     return worst, 1e-8
 
 

@@ -55,11 +55,12 @@ class TestEval:
             assert va == pytest.approx(vb, rel=1e-6)
 
     def test_no_resolvent_exit_3(self):
-        rc, out, err = run_cli(
-            ["eval", "--model", DEBYE, "--grid", "0.1:2:4", "--quantity", "resolvent"]
-        )
-        assert rc == 3
-        assert "no resolvent" in err
+        for grid in ("0.1:2:4", "6:20:4"):
+            rc, out, err = run_cli(
+                ["eval", "--model", DEBYE, "--grid", grid, "--quantity", "resolvent"]
+            )
+            assert rc == 3
+            assert "no resolvent" in err
 
     def test_config_error_exit_2(self):
         rc, out, err = run_cli(["eval", "--model", '{"family":"Nope"}', "--grid", "0:1:2"])

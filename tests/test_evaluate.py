@@ -1,4 +1,5 @@
-"""Route dispatch of evaluate_model for the Havriliak-Negami creep resolvent.
+"""Route dispatch of evaluate_model: the Havriliak-Negami creep resolvent
+and the Rabotnov relaxation series.
 
 The general resolvent (alpha < 1 and beta < 1) is inverted from its
 closed-form image at every t > 0; the double series overflows or loses its
@@ -6,6 +7,10 @@ digits inside t/tau0 <= 5 at small alpha (alpha = 0.2, beta = 0.9 raised
 OverflowError for t/tau0 in 0.89..4.2).  The reference is mpmath's own
 Talbot inversion of 1/((1 + s^alpha)^beta - 1), accepted only where two
 working precisions agree.
+
+The Rabotnov relaxation function E_alpha(-theta^alpha) is summed as its own
+Mittag-Leffler series up to theta = 10; the reference is that series summed
+at 30 digits.
 """
 
 import math
@@ -15,7 +20,7 @@ import numpy as np
 import pytest
 
 from fracrelax import KernelModel, evaluate_model
-from fracrelax.errors import NoResolventError
+from fracrelax.errors import NoResolventError, NonConvergenceError
 
 # Two precisions must agree to this before a reference is used.
 _AGREE = 1e-12
@@ -60,10 +65,14 @@ def test_resolvent_at_origin_is_infinite():
 
 
 def test_debye_has_no_resolvent():
-    model = KernelModel("HavriliakNegami", 1.0, 1.0, 1.0)
-    for t in (0.0, 0.5, 5.0):
-        with pytest.raises(NoResolventError):
-            evaluate_model(model, "resolvent", t)
+    # Rzhanitsyn-Davidson alpha = 1 is the same kernel in the HN view
+    for model in (
+        KernelModel("HavriliakNegami", 1.0, 1.0, 1.0),
+        KernelModel("RzhanitsynDavidson", 1.0, 1.0),
+    ):
+        for t in (0.0, 0.5, 5.0, 10.0, 100.0):
+            with pytest.raises(NoResolventError):
+                evaluate_model(model, "resolvent", t)
 
 
 def test_reductions_stay_on_series_route():
@@ -76,3 +85,30 @@ def test_reductions_stay_on_series_route():
     ):
         assert evaluate_model(model, "resolvent", 2.0)[1] == "series"
         assert evaluate_model(model, "resolvent", 6.0)[1] == "quadrature"
+
+
+def _mittag_leffler_reference(alpha, theta):
+    with mp.workdps(30):
+        z = -mp.mpf(theta) ** mp.mpf(alpha)
+        total, n = mp.mpf(0), 0
+        while True:
+            term = z**n * mp.rgamma(mp.mpf(alpha) * n + 1)
+            total += term
+            if n > 10 and abs(term) < mp.mpf(10) ** -35:
+                return float(total)
+            n += 1
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99])
+def test_rabotnov_relaxation_series_route(alpha):
+    model = KernelModel("Rabotnov", alpha, 1.0)
+    for theta in np.geomspace(1e-3, 10.0, 9):
+        if (alpha, theta) == (0.05, 10.0):
+            # the series needs more than its 500-term budget here
+            with pytest.raises(NonConvergenceError):
+                evaluate_model(model, "relaxation", theta)
+            continue
+        value, method = evaluate_model(model, "relaxation", theta)
+        expected = _mittag_leffler_reference(alpha, theta)
+        assert value == pytest.approx(expected, rel=1e-7), (alpha, theta)
+        assert method == "series"

@@ -3,7 +3,13 @@ import math
 import pytest
 
 from fracrelax.errors import ContourError
-from fracrelax.kernels import HNParams, hn_relaxation_kernel, p_kernel, q_kernel
+from fracrelax.kernels import (
+    HNParams,
+    hn_relaxation_kernel,
+    p_kernel,
+    q_kernel,
+    rabotnov_relaxation,
+)
 from fracrelax.laplace import InverseLaplaceSpec, bromwich_euler, inverse_laplace, talbot
 from fracrelax.quadrature import (
     QuadratureSpec,
@@ -33,6 +39,9 @@ class TestIAlpha:
     def test_frozen_mittag_leffler_oracle(self):
         # I_alpha(theta) = E_alpha(-theta^alpha); direct series at 50 digits
         assert i_alpha(0.5, 2.0) == pytest.approx(0.33620400244634121, rel=1e-9)
+        assert rabotnov_relaxation(0.5, 1.0, 2.0) == pytest.approx(
+            0.33620400244634121, rel=1e-12
+        )
 
     def test_cross_representation(self):
         for alpha in (0.25, 0.5, 0.75):
@@ -40,6 +49,9 @@ class TestIAlpha:
                 assert i_alpha(alpha, theta) + eh_conv_unity_series(
                     alpha, 1.0, theta
                 ) == pytest.approx(1.0, abs=1e-8)
+                assert rabotnov_relaxation(alpha, 1.0, theta) == pytest.approx(
+                    i_alpha(alpha, theta), abs=1e-8
+                )
 
     def test_monotone_decreasing(self):
         values = [i_alpha(0.5, th) for th in (0.0, 0.5, 1.0, 2.0, 5.0, 20.0)]

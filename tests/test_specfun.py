@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracrelax.errors import BranchDegeneracyError, NonConvergenceError, PoleError
+from fracrelax.kernels import HNParams, hn_relaxation_kernel
 from fracrelax.specfun import (
     SeriesControl,
     eh_alpha,
@@ -47,6 +48,32 @@ class TestGamma:
     def test_ln_gamma_matches(self):
         for x in (0.2, 1.5, 40.0, 300.0):
             assert ln_gamma(x) == pytest.approx(math.lgamma(x), rel=1e-13, abs=1e-13)
+
+
+class TestLnGammaMemo:
+    """ln_gamma is memoized; every cached value is bitwise the computed one."""
+
+    def test_bitwise_equal_to_unmemoized(self):
+        # x < 0.5 takes the reflection branch; 1 and 1.0 share a cache key
+        xs = [0.01, 0.2, 0.49, 0.5, 0.75, 1, 1.0, 2, 2.0, 1.5, 7.3, 40.0, 300.0]
+        for x in xs + xs:
+            assert ln_gamma(x).hex() == ln_gamma.__wrapped__(x).hex(), x
+
+    def test_poles_are_not_cached(self):
+        for x in (0.0, -1.0, -2.5, 0.0, -1.0, -2.5):
+            with pytest.raises(PoleError):
+                ln_gamma(x)
+
+    def test_cache_is_bounded(self):
+        assert ln_gamma.cache_info().maxsize is not None
+
+    def test_hn_kernel_unchanged_by_cold_cache(self):
+        p = HNParams(alpha=0.61, beta=0.8, tau0=1.0)
+        ts = [0.01 * 1.6**k for k in range(14)]
+        warm = [hn_relaxation_kernel(p, t) for t in ts]
+        ln_gamma.cache_clear()
+        cold = [hn_relaxation_kernel(p, t) for t in reversed(ts)][::-1]
+        assert [v.hex() for v in cold] == [v.hex() for v in warm]
 
 
 class TestKummer:
