@@ -8,14 +8,13 @@ CSV), ``spectrum`` (relaxation-time spectrum over a tau grid, CSV), ``fit``
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
 3 numerical failure.  Output is deterministic: identical configuration
-produces byte-identical files regardless of thread count, and every numeric
-is printed with 17 significant digits (round-trippable to the exact double).
+produces byte-identical files on every run, and every numeric is printed
+with 17 significant digits (round-trippable to the exact double).
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import logging
 import math
@@ -25,20 +24,12 @@ import sys
 import numpy as np
 
 from .errors import EvaluationError, NoResolventError
-from .evaluate import QUANTITIES, evaluate_model, spectrum_density
+from .evaluate import QUANTITIES, evaluate_model, laplace_image, spectrum_density
 from .fitting import fit_hn
 from .kernels import KERNEL_FAMILIES, KernelModel
 from .laplace import InverseLaplaceSpec, inverse_laplace
 from .quadrature import QuadratureSpec
-from .resolvent import volterra_resolvent_transform
 from .specfun import SeriesControl
-from .spectra import (
-    abel_image,
-    chgf_kernel_image,
-    hn_normalized_image,
-    rabotnov_image,
-    rzhanitsyn_image,
-)
 from .validation import run_validation
 
 CONFIG_SCHEMA = 1
@@ -49,20 +40,19 @@ _LOG_ENV = "FRACRELAX_LOG"
 
 log = logging.getLogger("fracrelax")
 
-_CONFIG_KEYS = {
-    "schema",
-    "command",
-    "model",
-    "grid",
-    "quantity",
-    "in",
-    "out",
-    "tol",
-    "method",
-    "only",
-    "sabotage",
-    "threads",
+# config key -> the argparse attribute it supplies
+_CONFIG_ATTRS = {
+    "model": "model",
+    "grid": "grid",
+    "quantity": "quantity",
+    "in": "in_path",
+    "out": "out",
+    "tol": "tol",
+    "method": "method",
+    "only": "only",
+    "sabotage": "sabotage",
 }
+_CONFIG_KEYS = {"schema", "command", *_CONFIG_ATTRS}
 _MODEL_KEYS = {"family", "alpha", "beta", "tau", "m_inf", "m_0"}
 _GRID_KEYS = {"start", "stop", "points", "spacing"}
 
@@ -169,19 +159,7 @@ def _merge_config(args: argparse.Namespace) -> None:
     if not getattr(args, "config", None):
         return
     cfg = _load_config(args.config)
-    mapping = {
-        "model": "model",
-        "grid": "grid",
-        "quantity": "quantity",
-        "in": "in_path",
-        "out": "out",
-        "tol": "tol",
-        "method": "method",
-        "only": "only",
-        "sabotage": "sabotage",
-        "threads": "threads",
-    }
-    for key, attr in mapping.items():
+    for key, attr in _CONFIG_ATTRS.items():
         if key in cfg and getattr(args, attr, None) in (None, False):
             setattr(args, attr, cfg[key])
 
@@ -207,20 +185,6 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _kernel_image(model: KernelModel, s: complex) -> complex:
-    """Laplace image of the model's relaxation kernel."""
-    if model.family == "Abel":
-        return abel_image(model.alpha, model.tau, s)
-    if model.family == "Rabotnov":
-        # eh kernel: 1/(tau^-alpha + s^alpha)
-        return model.tau**model.alpha * rabotnov_image(model.alpha, model.tau, s)
-    if model.family == "RzhanitsynDavidson":
-        return rzhanitsyn_image(model.alpha, model.tau, s)
-    if model.family == "CHGF":
-        return chgf_kernel_image(model.alpha, model.tau, s)
-    return hn_normalized_image(model.hn_params(), s)
-
-
 def cmd_eval(args) -> int:
     model = _parse_model(args.model)
     ts = _parse_grid(args.grid)
@@ -230,61 +194,31 @@ def cmd_eval(args) -> int:
     method = args.method or "auto"
     if method not in ("auto", "series", "quadrature"):
         raise ConfigError("eval --method must be auto, series or quadrature")
+    if method == "quadrature" and quantity not in ("kernel", "resolvent"):
+        raise ConfigError("forced quadrature supports kernel and resolvent only")
     ctl, quad = _controls(args)
-    threads = int(args.threads or 1)
-    if threads < 1:
-        raise ConfigError("--threads must be >= 1")
-
-    def one(t: float) -> tuple[float, str]:
-        if method == "auto":
-            return evaluate_model(model, quantity, t, ctl, quad)
-        if method == "quadrature":
-            if quantity == "kernel":
-                return inverse_laplace(lambda s: _kernel_image(model, s), t), "quadrature"
-            if quantity == "resolvent":
-                image = lambda s: volterra_resolvent_transform(_kernel_image(model, s))
-                return inverse_laplace(image, t), "quadrature"
-            raise ConfigError("forced quadrature supports kernel and resolvent only")
-        value, used = evaluate_model(model, quantity, t, ctl, quad)
-        if used != "series":
-            raise EvaluationError(f"series route not valid at t = {t}")
-        return value, used
-
     log.info(
-        "eval: %s %s over %d points (%s route, %d threads)",
-        model.family,
-        quantity,
-        len(ts),
-        method,
-        threads,
+        "eval: %s %s over %d points (%s route)", model.family, quantity, len(ts), method
     )
     rows = ["t,value,method"]
-    try:
-        if threads == 1:
-            results = [one(t) for t in ts]
-        else:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(one, ts))
-    except NoResolventError as exc:
-        print(f"numerical failure: no resolvent ({exc})", file=sys.stderr)
-        return 3
-    except (EvaluationError, ValueError, OverflowError) as exc:
-        failing = _first_failing(one, ts)
-        print(f"numerical failure at t = {failing}: {exc}", file=sys.stderr)
-        return 3
-    for t, (value, used) in zip(ts, results):
+    for t in ts:
+        try:
+            if method == "quadrature":
+                value = inverse_laplace(laplace_image(model, quantity), t)
+                used = "quadrature"
+            else:
+                value, used = evaluate_model(model, quantity, t, ctl, quad)
+                if method == "series" and used != "series":
+                    raise EvaluationError(f"series route not valid at t = {t}")
+        except NoResolventError as exc:
+            print(f"numerical failure: no resolvent ({exc})", file=sys.stderr)
+            return 3
+        except (EvaluationError, ValueError, OverflowError) as exc:
+            print(f"numerical failure at t = {_fmt(t)}: {exc}", file=sys.stderr)
+            return 3
         rows.append(f"{_fmt(t)},{_fmt(value)},{used}")
     _write_text(args.out, "\n".join(rows) + "\n")
     return 0
-
-
-def _first_failing(fn, ts):
-    for t in ts:
-        try:
-            fn(t)
-        except Exception:
-            return _fmt(t)
-    return "unknown"
 
 
 def cmd_spectrum(args) -> int:
@@ -373,13 +307,9 @@ def cmd_invert(args) -> int:
     spec = InverseLaplaceSpec(method=method)
     ctl, quad = _controls(args)
 
-    if quantity == "kernel":
-        image = lambda s: _kernel_image(model, s)
-    else:
-        image = lambda s: volterra_resolvent_transform(_kernel_image(model, s))
-
     rows = ["t,series_value,inverted_value,rel_diff"]
     try:
+        image = laplace_image(model, quantity)
         for t in ts:
             inverted = inverse_laplace(image, t, spec)
             try:
@@ -434,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_eval)
     p_eval.add_argument("--quantity", choices=QUANTITIES, help="what to evaluate")
     p_eval.add_argument("--method", help="auto (default), series or quadrature")
-    p_eval.add_argument("--threads", type=int, help="worker threads (default 1)")
     p_eval.set_defaults(fn=cmd_eval)
 
     p_spec = subs.add_parser("spectrum", help="relaxation-time spectrum over a tau grid")

@@ -16,15 +16,21 @@ raises NoResolventError at every t.  The general HN creep resolvent
 (alpha < 1 and beta < 1) is inverted by fixed Talbot at every t > 0: its
 double series overflows or cancels to noise inside t/tau0 <= 5 at small
 alpha.
+
+Each family's Laplace image is written once, in ``laplace_image``: the
+inverse-Laplace routes here, the branch-cut spectra of ``spectrum_density``
+and the CLI's forced-quadrature ``eval`` and ``invert`` all take it from
+there.  The Rzhanitsyn-Davidson relaxation and resolvent series go through
+its HN view, ``KernelModel.hn_params()``.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 
 from .kernels import (
     HN_SERIES_CROSSOVER,
-    HNParams,
     KernelModel,
     abel_kernel,
     chgf_kernel_R,
@@ -44,9 +50,11 @@ from .quadrature import (
 )
 from .resolvent import volterra_resolvent_transform
 from .spectra import (
+    abel_image,
     chgf_kernel_image,
     hn_normalized_image,
     numeric_spectrum,
+    rabotnov_image,
     rabotnov_spectrum_H,
     rzhanitsyn_image,
 )
@@ -61,12 +69,29 @@ QUANTITIES = ("kernel", "resolvent", "relaxation")
 _ASYMPTOTIC_CROSSOVER = 100.0
 
 
-def _as_hn(model: KernelModel) -> HNParams:
-    """HN parameter view: the Rzhanitsyn-Davidson shape parameter sits in
-    the HN beta slot (its alpha is 1)."""
-    if model.family == "RzhanitsynDavidson":
-        return HNParams(alpha=1.0, beta=model.alpha, tau0=model.tau)
-    return model.hn_params()
+def laplace_image(model: KernelModel, quantity: str):
+    """Laplace image of the model's relaxation kernel (``quantity`` "kernel")
+    or of its creep resolvent R/(1 - R) ("resolvent"), as a callable
+    complex -> complex.  The family is settled here, once per call, not at
+    every sample of the image."""
+    a, tau = model.alpha, model.tau
+    if model.family == "Abel":
+        kernel = partial(abel_image, a, tau)
+    elif model.family == "Rabotnov":
+        # eh kernel: 1/(tau^-alpha + s^alpha)
+        scale = tau**a
+        kernel = lambda s: scale * rabotnov_image(a, tau, s)
+    elif model.family == "RzhanitsynDavidson":
+        kernel = partial(rzhanitsyn_image, a, tau)
+    elif model.family == "CHGF":
+        kernel = partial(chgf_kernel_image, a, tau)
+    else:
+        kernel = partial(hn_normalized_image, model.hn_params())
+    if quantity == "kernel":
+        return kernel
+    if quantity == "resolvent":
+        return lambda s: volterra_resolvent_transform(kernel(s))
+    raise ValueError(f"no Laplace image for quantity {quantity!r}")
 
 
 def evaluate_model(
@@ -102,11 +127,9 @@ def _kernel(model, t, ctl, quad, inversion):
     if model.family == "CHGF":
         return chgf_kernel_R(model.alpha, model.tau, t, ctl), "series"
     # HavriliakNegami
-    p = model.hn_params()
     if theta <= HN_SERIES_CROSSOVER:
-        return hn_relaxation_kernel(p, t, ctl), "series"
-    value = inverse_laplace(lambda s: hn_normalized_image(p, s), t, inversion)
-    return value, "quadrature"
+        return hn_relaxation_kernel(model.hn_params(), t, ctl), "series"
+    return inverse_laplace(laplace_image(model, "kernel"), t, inversion), "quadrature"
 
 
 def _resolvent(model, t, ctl, quad, inversion):
@@ -115,16 +138,17 @@ def _resolvent(model, t, ctl, quad, inversion):
         # table reduction: the resolvent of the eh kernel is the Abel kernel
         return abel_kernel(model.alpha, model.tau, t), "series"
     if model.family in ("RzhanitsynDavidson", "HavriliakNegami"):
-        p = _as_hn(model)
         # Only the exact reductions, the t = 0 limit and the Debye error stay
         # on the series route (see the module docstring).  Debye raises at
         # every t: Talbot of its image R/(1 - R) = 1/(s tau0) would return 1/tau0.
-        general = p.alpha < 1.0 and p.beta < 1.0
-        debye = p.alpha == 1.0 and p.beta == 1.0
+        # Both tests are symmetric in (alpha, beta), so the model's own fields
+        # decide them for the Rzhanitsyn-Davidson HN view (1, alpha) too.
+        a, b = model.alpha, model.beta
+        general = a < 1.0 and b < 1.0
+        debye = a == 1.0 and b == 1.0
         if t <= 0.0 or debye or (not general and theta <= HN_SERIES_CROSSOVER):
-            return hn_creep_resolvent(p, t, ctl), "series"
-        image = lambda s: volterra_resolvent_transform(hn_normalized_image(p, s))
-        return inverse_laplace(image, t, inversion), "quadrature"
+            return hn_creep_resolvent(model.hn_params(), t, ctl), "series"
+        return inverse_laplace(laplace_image(model, "resolvent"), t, inversion), "quadrature"
     raise ValueError(f"no creep resolvent evaluation for family {model.family!r}")
 
 
@@ -143,11 +167,10 @@ def _relaxation(model, t, ctl, quad, inversion):
         return _mittag_leffler_tail(model.alpha, theta), "asymptotic"
     if model.family == "CHGF":
         return chgf_relaxation_S(model.alpha, model.tau, t, ctl), "series"
-    p = _as_hn(model)
     if theta <= HN_SERIES_CROSSOVER:
-        return 1.0 - hn_relaxation_function(p, t, ctl), "series"
-    image = lambda s: (1.0 - hn_normalized_image(p, s)) / s
-    return inverse_laplace(image, t, inversion), "quadrature"
+        return 1.0 - hn_relaxation_function(model.hn_params(), t, ctl), "series"
+    kernel = laplace_image(model, "kernel")
+    return inverse_laplace(lambda s: (1.0 - kernel(s)) / s, t, inversion), "quadrature"
 
 
 def _mittag_leffler_tail(alpha: float, theta: float, max_terms: int = 8) -> float:
@@ -180,11 +203,4 @@ def spectrum_density(model: KernelModel, tau: float) -> tuple[float, str]:
     if model.family == "Abel":
         b = model.alpha * math.pi
         return math.sin(b) / math.pi * (tau / model.tau) ** model.alpha, "series"
-    if model.family == "RzhanitsynDavidson":
-        image = lambda s: rzhanitsyn_image(model.alpha, model.tau, s)
-    elif model.family == "CHGF":
-        image = lambda s: chgf_kernel_image(model.alpha, model.tau, s)
-    else:
-        p = model.hn_params()
-        image = lambda s: hn_normalized_image(p, s)
-    return numeric_spectrum(image, tau), "quadrature"
+    return numeric_spectrum(laplace_image(model, "kernel"), tau), "quadrature"

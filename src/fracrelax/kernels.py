@@ -119,6 +119,10 @@ class KernelModel:
             raise ValueError(f"beta must be in (0, 1], got {self.beta}")
 
     def hn_params(self) -> HNParams:
+        """Havriliak-Negami view of the model.  Rzhanitsyn-Davidson is HN
+        with alpha = 1 and its shape parameter in the HN beta slot."""
+        if self.family == "RzhanitsynDavidson":
+            return HNParams(1.0, self.alpha, self.tau, self.m_inf, self.m_0)
         return HNParams(self.alpha, self.beta, self.tau, self.m_inf, self.m_0)
 
 

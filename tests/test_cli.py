@@ -7,12 +7,18 @@ import numpy as np
 import pytest
 
 from fracrelax.cli import main
-from fracrelax.kernels import HNParams
+from fracrelax.kernels import KERNEL_FAMILIES, HNParams
 from fracrelax.spectra import hn_modulus
 
 DEBYE = '{"family":"HavriliakNegami","alpha":1.0,"beta":1.0,"tau":1.0}'
 RABOTNOV = '{"family":"Rabotnov","alpha":0.5,"tau":1.0}'
 HN_GENERAL = '{"family":"HavriliakNegami","alpha":0.2,"beta":0.9,"tau":1.0}'
+
+
+def _family_model(family):
+    """A model of the family on a series-route grid t/tau in 0.5..2."""
+    beta = ',"beta":0.8' if family == "HavriliakNegami" else ""
+    return f'{{"family":"{family}","alpha":0.6{beta},"tau":1.0}}'
 
 
 def run_cli(args):
@@ -86,9 +92,9 @@ class TestEval:
         assert rc == 3
         assert "series route not valid" in capsys.readouterr().err
 
-    def test_determinism_across_runs_and_threads(self, tmp_path):
+    def test_determinism_across_runs(self, tmp_path):
         outs = []
-        for name, threads in (("a", "1"), ("b", "1"), ("c", "4")):
+        for name in ("a", "b", "c"):
             path = tmp_path / f"{name}.csv"
             rc = main(
                 [
@@ -97,8 +103,6 @@ class TestEval:
                     '{"family":"HavriliakNegami","alpha":0.61,"beta":0.8,"tau":1.0}',
                     "--grid",
                     "0.01:20:40:log",
-                    "--threads",
-                    threads,
                     "--out",
                     str(path),
                 ]
@@ -106,6 +110,30 @@ class TestEval:
             assert rc == 0
             outs.append(path.read_bytes())
         assert outs[0] == outs[1] == outs[2]
+
+    def test_threads_option_removed(self):
+        rc, out, err = run_cli(["eval", "--model", RABOTNOV, "--grid", "0.1:1:3", "--threads", "2"])
+        assert rc == 2
+        assert "unrecognized arguments: --threads 2" in err
+
+    def test_forced_quadrature_relaxation_is_config_error(self):
+        rc, out, err = run_cli(["eval", "--model", RABOTNOV, "--grid", "0.1:1:3",
+                                "--method", "quadrature", "--quantity", "relaxation"])
+        assert rc == 2
+        assert "config error: forced quadrature supports kernel and resolvent only" in err
+
+    @pytest.mark.parametrize("family", KERNEL_FAMILIES)
+    def test_forced_quadrature_matches_auto(self, family, tmp_path):
+        a, b = tmp_path / "auto.csv", tmp_path / "quad.csv"
+        model = _family_model(family)
+        assert main(["eval", "--model", model, "--grid", "0.5:2:4", "--out", str(a)]) == 0
+        assert main(["eval", "--model", model, "--grid", "0.5:2:4",
+                     "--method", "quadrature", "--out", str(b)]) == 0
+        for la, lb in zip(a.read_text().splitlines()[1:], b.read_text().splitlines()[1:]):
+            ta, va, _ = la.split(",")
+            tb, vb, method = lb.split(",")
+            assert ta == tb and method == "quadrature"
+            assert float(vb) == pytest.approx(float(va), rel=1e-6)
 
     def test_17_digit_roundtrip(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -167,6 +195,18 @@ class TestFitCommand:
 
 
 class TestInvertCommand:
+    @pytest.mark.parametrize("family", KERNEL_FAMILIES)
+    def test_every_family_kernel_image(self, family, tmp_path):
+        out = tmp_path / "inv.csv"
+        rc = main(["invert", "--model", _family_model(family), "--grid", "0.5:2:4",
+                   "--quantity", "kernel", "--out", str(out)])
+        assert rc == 0
+        lines = out.read_text().splitlines()[1:]
+        assert len(lines) == 4
+        for line in lines:
+            t_str, series, inverted, rel = line.split(",")
+            assert float(inverted) == pytest.approx(float(series), rel=1e-6)
+
     def test_rows_and_rel_diff(self, tmp_path):
         out = tmp_path / "inv.csv"
         rc = main(["invert", "--model", DEBYE, "--grid", "0.5:2:4", "--out", str(out)])
@@ -276,6 +316,14 @@ class TestConfigFile:
         rc, stdout, err = run_cli(["eval", "--config", str(cfg)])
         assert rc == 2
         assert "unknown config keys" in err
+
+    def test_threads_key_rejected(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema": 1, "model": {"family": "Rabotnov", "alpha": 0.5},
+                                   "grid": "0.1:1:3", "threads": 2}), encoding="utf-8")
+        rc, stdout, err = run_cli(["eval", "--config", str(cfg)])
+        assert rc == 2
+        assert "unknown config keys: ['threads']" in err
 
     def test_wrong_schema_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -294,5 +294,13 @@ class TestModels:
         p = HNParams(0.5, 1.0, 1.0, m_inf=2.0, m_0=1.0)
         assert p.delta_m == 1.0
 
+    def test_hn_params_view(self):
+        # Rzhanitsyn-Davidson is HN with alpha = 1: its shape parameter sits
+        # in the HN beta slot, not the Cole-Cole alpha slot
+        rd = KernelModel(family="RzhanitsynDavidson", alpha=0.4, tau=2.0, m_inf=2.0, m_0=1.0)
+        assert rd.hn_params() == HNParams(1.0, 0.4, 2.0, m_inf=2.0, m_0=1.0)
+        hn = KernelModel(family="HavriliakNegami", alpha=0.6, tau=2.0, beta=0.8)
+        assert hn.hn_params() == HNParams(0.6, 0.8, 2.0)
+
     def test_abel_kernel_value(self):
         assert abel_kernel(0.5, 1.0, 4.0) == pytest.approx(0.2820947917738781, rel=1e-13)
