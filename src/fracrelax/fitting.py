@@ -6,7 +6,8 @@ optimization runs under box constraints (0 < alpha <= 1, 0 < beta <= 1,
 tau0 > 0 via log parameterization, moduli positive with m_inf >= m_0
 enforced through the difference parameter).  Initialization follows the
 loss-peak heuristics documented on :func:`initial_guess`, so a fit is fully
-reproducible from its inputs.
+reproducible from its inputs.  ``scipy.optimize.least_squares`` loads on the
+first fit, not when this module is imported.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .kernels import HNParams
 
@@ -92,6 +92,8 @@ def fit_hn(
     Non-convergence is reported through the ``converged`` flag, not an
     exception; the best found parameters are always returned.
     """
+    from scipy.optimize import least_squares
+
     omega = np.asarray(omega, dtype=float)
     values = np.asarray(values, dtype=complex)
     if omega.ndim != 1 or omega.shape != values.shape:

@@ -54,6 +54,14 @@ HN_SERIES_CROSSOVER = 5.0
 KERNEL_FAMILIES = ("Abel", "Rabotnov", "RzhanitsynDavidson", "CHGF", "HavriliakNegami")
 
 
+def _check_moduli(m_inf: float | None, m_0: float | None) -> None:
+    """The moduli are optional, but given together and ordered."""
+    if (m_inf is None) != (m_0 is None):
+        raise ValueError("m_inf and m_0 must be given together")
+    if m_inf is not None and (m_0 <= 0.0 or m_inf < m_0):
+        raise ValueError("moduli must satisfy m_inf >= m_0 > 0")
+
+
 @dataclass(frozen=True)
 class HNParams:
     """Four-parameter dispersion set: shape (alpha, beta), characteristic
@@ -73,11 +81,7 @@ class HNParams:
             raise ValueError(f"beta must be in (0, 1], got {self.beta}")
         if self.tau0 <= 0.0:
             raise ValueError(f"tau0 must be > 0, got {self.tau0}")
-        if (self.m_inf is None) != (self.m_0 is None):
-            raise ValueError("m_inf and m_0 must be given together")
-        if self.m_inf is not None:
-            if self.m_0 <= 0.0 or self.m_inf < self.m_0:
-                raise ValueError("moduli must satisfy m_inf >= m_0 > 0")
+        _check_moduli(self.m_inf, self.m_0)
 
     @property
     def delta_m(self) -> float:
@@ -94,7 +98,8 @@ class KernelModel:
     Rzhanitsyn-Davidson family it plays the role the Havriliak-Negami
     ``beta`` plays); ``beta`` is meaningful for HavriliakNegami only and is
     1 otherwise.  ``m_inf``/``m_0`` are carried for modulus evaluation and
-    may be omitted for pure kernel work.
+    may be omitted for pure kernel work; given, they come together with
+    m_inf >= m_0 > 0, as on :class:`HNParams`.
     """
 
     family: str
@@ -117,6 +122,7 @@ class KernelModel:
             raise ValueError("beta is a HavriliakNegami parameter; must be 1 here")
         if not 0.0 < self.beta <= 1.0:
             raise ValueError(f"beta must be in (0, 1], got {self.beta}")
+        _check_moduli(self.m_inf, self.m_0)
 
     def hn_params(self) -> HNParams:
         """Havriliak-Negami view of the model.  Rzhanitsyn-Davidson is HN

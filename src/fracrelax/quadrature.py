@@ -7,7 +7,8 @@ semi-infinite spectral integrals I_alpha, the Q/P convolution integrals,
 and time-domain quadratures of the series kernels themselves.  Endpoint
 singularities of the x^(alpha-1) type are removed by power substitutions
 before handing the smooth integrand to adaptive quadrature (QUADPACK);
-adaptive subdivision is deterministic.
+adaptive subdivision is deterministic.  ``scipy.integrate`` loads on the
+first quadrature call, not when this module is imported.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-
-from scipy.integrate import quad
 
 from .errors import NonConvergenceError
 from .specfun import DEFAULT_CONTROL, SeriesControl, eh_alpha_regular, gamma
@@ -57,6 +56,11 @@ DEFAULT_QUADRATURE = QuadratureSpec()
 
 
 def _quad(f, a, b, q: QuadratureSpec, what: str, points=None) -> float:
+    # Imported here, not at module level, so that ``import fracrelax`` never
+    # loads scipy; outside the filter below, so that a warning raised while
+    # scipy imports is not turned into a NonConvergenceError.
+    from scipy.integrate import quad
+
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:

@@ -163,22 +163,23 @@ class TestSpectrumCommand:
         assert all(v >= 0.0 for v in values)
 
 
-class TestFitCommand:
-    def write_data(self, path, noise=0.0, seed=None):
-        p = HNParams(0.61, 1.0, 1.0, m_inf=2.0, m_0=1.0)
-        omega = np.logspace(-3, 3, 50)
-        rows = ["omega,re,im"]
-        rng = np.random.default_rng(seed)
-        for w in omega:
-            m = hn_modulus(p, float(w))
-            if noise:
-                m += noise * abs(m) * complex(rng.standard_normal(), rng.standard_normal())
-            rows.append(f"{float(w)!r},{m.real!r},{m.imag!r}")
-        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+def write_fit_data(path, noise=0.0, seed=None):
+    p = HNParams(0.61, 1.0, 1.0, m_inf=2.0, m_0=1.0)
+    omega = np.logspace(-3, 3, 50)
+    rows = ["omega,re,im"]
+    rng = np.random.default_rng(seed)
+    for w in omega:
+        m = hn_modulus(p, float(w))
+        if noise:
+            m += noise * abs(m) * complex(rng.standard_normal(), rng.standard_normal())
+        rows.append(f"{float(w)!r},{m.real!r},{m.imag!r}")
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
+
+class TestFitCommand:
     def test_fit_roundtrip(self, tmp_path):
         data = tmp_path / "data.csv"
-        self.write_data(data)
+        write_fit_data(data)
         out = tmp_path / "fit.json"
         rc = main(["fit", "--in", str(data), "--out", str(out)])
         assert rc == 0
@@ -235,6 +236,98 @@ class TestInvertCommand:
             t_str, series, inverted, rel = line.split(",")
             assert series == "" and rel == ""
             assert float(inverted) > 0.0
+
+
+class TestModuliPair:
+    # the moduli are given together with m_inf >= m_0 > 0, for every family;
+    # anything else is a configuration error, refused before the grid runs
+    @pytest.mark.parametrize("command", ["eval", "spectrum", "invert"])
+    @pytest.mark.parametrize("moduli", ['"m_inf":2', '"m_inf":1,"m_0":2'])
+    @pytest.mark.parametrize("family", ["HavriliakNegami", "Abel"])
+    def test_bad_moduli_exit_2(self, command, moduli, family, capsys):
+        beta = ',"beta":0.8' if family == "HavriliakNegami" else ""
+        model = f'{{"family":"{family}","alpha":0.6{beta},"tau":1.5,{moduli}}}'
+        quantity = ["--quantity", "relaxation"] if command == "eval" else []
+        rc = main([command, "--model", model, "--grid", "0.01:1:3", *quantity])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+
+
+def scipy_loaded_by(code):
+    """Names of the scipy modules a fresh interpreter holds after running code."""
+    probe = code + (
+        "\nimport json, sys\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def main_call(*argv):
+    return f"from fracrelax.cli import main\nassert main({list(argv)!r}) == 0\n"
+
+
+class TestImportContract:
+    # scipy loads on the first QUADPACK call or fit, never on import
+    def test_import_loads_no_scipy(self):
+        assert scipy_loaded_by("import fracrelax") == []
+
+    def test_series_and_inversion_commands_load_no_scipy(self, tmp_path):
+        out = str(tmp_path / "out.csv")
+        hn_kernel = '{"family":"HavriliakNegami","alpha":0.6,"beta":0.8,"tau":1.0}'
+        rd = '{"family":"RzhanitsynDavidson","alpha":0.6,"tau":1.0}'
+        for argv in (
+            ["eval", "--model", hn_kernel, "--grid", "0.01:1:5", "--out", out],
+            ["spectrum", "--model", rd, "--grid", "0.1:10:5:log", "--out", out],
+            ["invert", "--model", hn_kernel, "--grid", "0.5:2:4", "--method", "talbot",
+             "--out", out],
+        ):
+            assert scipy_loaded_by(main_call(*argv)) == [], argv[0]
+
+    def test_quadrature_route_loads_scipy_integrate(self, tmp_path):
+        out = str(tmp_path / "out.csv")
+        loaded = scipy_loaded_by(main_call("eval", "--model", RABOTNOV, "--grid", "20:30:2",
+                                           "--out", out))
+        assert "scipy.integrate" in loaded
+
+    def test_fit_loads_scipy_optimize(self, tmp_path):
+        data = tmp_path / "data.csv"
+        write_fit_data(data)
+        loaded = scipy_loaded_by(main_call("fit", "--in", str(data), "--out",
+                                           str(tmp_path / "fit.json")))
+        assert "scipy.optimize" in loaded
+
+
+# QUADPACK and least_squares as the first calls of a process; the values are
+# those of the same calls in a process that loaded scipy long before
+FIRST_CALLS = """
+import numpy as np
+from fracrelax.fitting import fit_hn
+from fracrelax.kernels import HNParams
+from fracrelax.quadrature import eh_alpha_integral, i_alpha
+from fracrelax.spectra import hn_modulus
+omega = np.logspace(-2, 2, 16)
+samples = [hn_modulus(HNParams(0.6, 0.8, 1.0, m_inf=2.0, m_0=1.0), float(w)) for w in omega]
+values = [i_alpha(0.5, 20.0), eh_alpha_integral(0.5, 1.0, 20.0)]
+p = fit_hn(omega, samples).params
+values += [p.alpha, p.beta, p.tau0, p.m_inf, p.m_0]
+hexes = [float(v).hex() for v in values]
+"""
+
+
+def test_first_calls_in_fresh_process_are_bitwise_in_process():
+    import scipy.integrate  # noqa: F401  (in-process side: scipy already loaded)
+
+    proc = subprocess.run(
+        [sys.executable, "-c", FIRST_CALLS + "print(' '.join(hexes))"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    scope = {}
+    exec(FIRST_CALLS, scope)
+    assert proc.stdout.split() == scope["hexes"]
 
 
 class TestValidateCommand:

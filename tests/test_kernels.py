@@ -4,6 +4,7 @@ import pytest
 
 from fracrelax.errors import BranchDegeneracyError, NoResolventError, NonConvergenceError
 from fracrelax.kernels import (
+    KERNEL_FAMILIES,
     HNParams,
     KernelModel,
     abel_kernel,
@@ -283,6 +284,14 @@ class TestModels:
             KernelModel(family="Rabotnov", alpha=0.5, tau=-1.0)
         with pytest.raises(ValueError):
             KernelModel(family="Rabotnov", alpha=0.5, tau=1.0, beta=0.5)
+
+    def test_kernel_model_moduli_pair(self):
+        # HNParams' rule, checked when the model is built, for every family
+        for family in KERNEL_FAMILIES:
+            with pytest.raises(ValueError, match="given together"):
+                KernelModel(family=family, alpha=0.6, tau=1.5, m_inf=2.0)
+            with pytest.raises(ValueError, match="m_inf >= m_0 > 0"):
+                KernelModel(family=family, alpha=0.6, tau=1.5, m_inf=1.0, m_0=2.0)
 
     def test_hn_params_validation(self):
         with pytest.raises(ValueError):
