@@ -7,7 +7,12 @@ Havriliak-Negami series up to t/tau0 = 5; beyond those the integral
 representation respectively the numerical inverse Laplace transform takes
 over; far tails of the relaxation function use the power-law expansion.
 The Rabotnov relaxation series route is E_alpha(-theta^alpha) summed
-directly (``rabotnov_relaxation``).
+directly (``rabotnov_relaxation``).  The Rzhanitsyn-Davidson relaxation
+function is exactly the regularized upper incomplete gamma function
+Q(alpha, t/tau); past t/tau = 5 it is evaluated as that (``gamma_q``, a
+continued fraction, labelled "series"), not by inverting its image.  The
+CHGF pair S and R are Kummer functions at every t (``kummer_1f1`` switches
+to its large-argument expansion by itself).
 
 The t/tau0 = 5 crossover governs the HN kernel, the HN relaxation function
 and the exact creep-resolvent reductions (beta = 1 Abel, alpha = 1
@@ -58,7 +63,14 @@ from .spectra import (
     rabotnov_spectrum_H,
     rzhanitsyn_image,
 )
-from .specfun import DEFAULT_CONTROL, EH_SERIES_CROSSOVER, SeriesControl, eh_alpha, gamma
+from .specfun import (
+    DEFAULT_CONTROL,
+    EH_SERIES_CROSSOVER,
+    SeriesControl,
+    eh_alpha,
+    gamma,
+    gamma_q,
+)
 
 __all__ = ["QUANTITIES", "evaluate_model", "spectrum_density"]
 
@@ -169,6 +181,9 @@ def _relaxation(model, t, ctl, quad, inversion):
         return chgf_relaxation_S(model.alpha, model.tau, t, ctl), "series"
     if theta <= HN_SERIES_CROSSOVER:
         return 1.0 - hn_relaxation_function(model.hn_params(), t, ctl), "series"
+    if model.family == "RzhanitsynDavidson":
+        # 1 - int_0^theta u^(alpha-1) e^-u du / gamma(alpha)
+        return gamma_q(model.alpha, theta, ctl), "series"
     kernel = laplace_image(model, "kernel")
     return inverse_laplace(lambda s: (1.0 - kernel(s)) / s, t, inversion), "quadrature"
 

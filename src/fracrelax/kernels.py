@@ -114,10 +114,7 @@ class KernelModel:
             raise ValueError(
                 f"unknown family {self.family!r}; expected one of {KERNEL_FAMILIES}"
             )
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
-        if self.tau <= 0.0:
-            raise ValueError(f"tau must be > 0, got {self.tau}")
+        _check_shape(self.alpha, self.tau)
         if self.family != "HavriliakNegami" and self.beta != 1.0:
             raise ValueError("beta is a HavriliakNegami parameter; must be 1 here")
         if not 0.0 < self.beta <= 1.0:
@@ -130,6 +127,13 @@ class KernelModel:
         if self.family == "RzhanitsynDavidson":
             return HNParams(1.0, self.alpha, self.tau, self.m_inf, self.m_0)
         return HNParams(self.alpha, self.beta, self.tau, self.m_inf, self.m_0)
+
+
+def _check_shape(alpha: float, tau: float) -> None:
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    if tau <= 0.0:
+        raise ValueError(f"tau must be > 0, got {tau}")
 
 
 def _check_time(t: float) -> None:
@@ -161,10 +165,7 @@ def rabotnov_relaxation(
     spectral integral I_alpha(theta); 1 at t = 0, exp(-theta) at alpha = 1.
     Valid for theta <= EH_SERIES_CROSSOVER, like :func:`eh_alpha`.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    if tau <= 0.0:
-        raise ValueError(f"tau must be > 0, got {tau}")
+    _check_shape(alpha, tau)
     _check_time(t)
     if t == 0.0:
         return 1.0
@@ -191,7 +192,9 @@ def chgf_relaxation_S(
     alpha: float, tau_eps: float, t: float, ctl: SeriesControl = DEFAULT_CONTROL
 ) -> float:
     """Relaxation function S(t) = 1F1(alpha, 1, -t/tau); S(0) = 1, monotone
-    non-increasing, exp(-t/tau) at alpha = 1."""
+    non-increasing, exp(-t/tau) at alpha = 1.  For alpha < 1 it decays as
+    (t/tau)^-alpha / gamma(1 - alpha) (see ``specfun.kummer_1f1``)."""
+    _check_shape(alpha, tau_eps)
     _check_time(t)
     return kummer_1f1(alpha, 1.0, -t / tau_eps, ctl)
 
@@ -200,6 +203,7 @@ def chgf_kernel_R(
     alpha: float, tau_eps: float, t: float, ctl: SeriesControl = DEFAULT_CONTROL
 ) -> float:
     """Relaxation kernel R(t) = (alpha/tau) 1F1(1+alpha, 2, -t/tau) = -dS/dt."""
+    _check_shape(alpha, tau_eps)
     _check_time(t)
     return alpha / tau_eps * kummer_1f1(1.0 + alpha, 2.0, -t / tau_eps, ctl)
 

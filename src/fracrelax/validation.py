@@ -94,6 +94,27 @@ def check_kummer_transform_consistency() -> tuple[float, float]:
     return worst, 1e-9
 
 
+def check_kummer_large_argument() -> tuple[float, float]:
+    # large-argument expansion vs the Kummer-transformed series where both
+    # converge, for both CHGF shapes 1F1(alpha; 1; -x) and 1F1(1+alpha; 2; -x);
+    # points where the expansion declines are left to the series, but it
+    # must be accepted somewhere on the grid
+    from .specfun import DEFAULT_CONTROL, SeriesControl, _kummer_large_argument, _kummer_series
+
+    ctl = SeriesControl(max_terms=800)
+    worst, accepted = 0.0, 0
+    for alpha in (0.05, 0.3, 0.61, 0.9, 0.99, 1.0 - 1e-9):
+        for a, c in ((alpha, 1.0), (1.0 + alpha, 2.0)):
+            for x in _log_grid(30.0, 300.0, 21):
+                expansion = _kummer_large_argument(a, c, x, DEFAULT_CONTROL)
+                if expansion is None:
+                    continue
+                accepted += 1
+                series = math.exp(-x) * _kummer_series(c - a, c, x, ctl)
+                worst = max(worst, abs(expansion - series) / abs(series))
+    return (worst if accepted else math.inf), 1e-11
+
+
 def check_log_identity_2f1() -> tuple[float, float]:
     worst = 0.0
     for x in _grid(0.01, 0.99, 99):
@@ -408,6 +429,7 @@ def check_suvorova_series_vs_convolution() -> tuple[float, float]:
 _CHECKS = [
     ("specfun", "kummer_exponential_degeneration", check_kummer_exponential_degeneration),
     ("specfun", "kummer_transform_consistency", check_kummer_transform_consistency),
+    ("specfun", "kummer_large_argument", check_kummer_large_argument),
     ("specfun", "log_identity_2f1", check_log_identity_2f1),
     ("specfun", "gamma_reflection", check_gamma_reflection),
     ("specfun", "eh_alpha_contiguity", check_eh_alpha_contiguity),

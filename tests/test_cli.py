@@ -111,6 +111,31 @@ class TestEval:
             outs.append(path.read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
+    @pytest.mark.parametrize("quantity", ["kernel", "relaxation"])
+    def test_chgf_large_argument(self, quantity, tmp_path):
+        # past t/tau ~ 366 the 1F1 series alone needs more than its
+        # 500-term budget
+        out = tmp_path / "chgf.csv"
+        model = '{"family":"CHGF","alpha":0.6,"tau":2.0}'
+        assert main(["eval", "--model", model, "--grid", "20:20000:13:log",
+                     "--quantity", quantity, "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 13 and all(method == "series" for _, _, method in rows)
+        values = [float(v) for _, v, _ in rows]
+        assert all(a > b > 0.0 for a, b in zip(values, values[1:]))
+
+    def test_rzhanitsyn_relaxation_past_crossover(self, tmp_path):
+        # Talbot of (1 - K)/s cannot resolve this tail (ContourError at
+        # t/tau = 50); the relaxation is Q(alpha, t/tau), labelled series
+        out = tmp_path / "rd.csv"
+        model = '{"family":"RzhanitsynDavidson","alpha":0.7,"tau":1.0}'
+        assert main(["eval", "--model", model, "--grid", "20:50:4",
+                     "--quantity", "relaxation", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [float(t) for t, _, _ in rows] == [20.0, 30.0, 40.0, 50.0]
+        assert all(method == "series" for _, _, method in rows)
+        assert float(rows[0][1]) == pytest.approx(6.372816652798514e-10, rel=1e-10)
+
     def test_threads_option_removed(self):
         rc, out, err = run_cli(["eval", "--model", RABOTNOV, "--grid", "0.1:1:3", "--threads", "2"])
         assert rc == 2

@@ -11,6 +11,9 @@ working precisions agree.
 The Rabotnov relaxation function E_alpha(-theta^alpha) is summed as its own
 Mittag-Leffler series up to theta = 10; the reference is that series summed
 at 30 digits.
+
+The Rzhanitsyn-Davidson relaxation function is Q(alpha, theta), evaluated as
+such past theta = 5; the reference is mpmath's ``gammainc``.
 """
 
 import math
@@ -111,4 +114,18 @@ def test_rabotnov_relaxation_series_route(alpha):
         value, method = evaluate_model(model, "relaxation", theta)
         expected = _mittag_leffler_reference(alpha, theta)
         assert value == pytest.approx(expected, rel=1e-7), (alpha, theta)
+        assert method == "series"
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0])
+def test_rzhanitsyn_relaxation_is_upper_incomplete_gamma(alpha):
+    # includes (0.3, 20) and (0.7, 50), where Talbot of (1 - K)/s raises
+    # ContourError, and (0.7, 20), where it is silently 4.6e-3 off
+    tau = 0.4
+    model = KernelModel("RzhanitsynDavidson", alpha, tau)
+    for theta in [5.01, 7.0, 20.0, 50.0, *np.geomspace(10.0, 1e4, 10)]:
+        value, method = evaluate_model(model, "relaxation", theta * tau)
+        with mp.workdps(30):
+            expected = float(mp.gammainc(alpha, theta, mp.inf, regularized=True))
+        assert value == pytest.approx(expected, rel=1e-10), (alpha, theta)
         assert method == "series"

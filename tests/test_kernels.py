@@ -64,6 +64,14 @@ class TestChgfPair:
             assert value <= previous
             previous = value
 
+    def test_argument_checks(self):
+        # the Kummer series sums any shape without complaint (S(1.5, 1, 2)
+        # would be -0.0499), so shapes outside the family are refused
+        for fn in (chgf_relaxation_S, chgf_kernel_R):
+            for alpha, tau in ((1.5, 1.0), (0.0, 1.0), (-0.5, 1.0), (0.5, -1.0), (0.5, 0.0)):
+                with pytest.raises(ValueError):
+                    fn(alpha, tau, 2.0)
+
 
 class TestQKernel:
     def test_alpha_one(self):

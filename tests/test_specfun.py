@@ -1,19 +1,23 @@
 import math
 
+import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracrelax.errors import BranchDegeneracyError, NonConvergenceError, PoleError
-from fracrelax.kernels import HNParams, hn_relaxation_kernel
+from fracrelax.kernels import HNParams, chgf_kernel_R, chgf_relaxation_S, hn_relaxation_kernel
 from fracrelax.specfun import (
     SeriesControl,
     eh_alpha,
     gamma,
+    gamma_q,
     gauss_2f1_11,
     kummer_1f1,
     ln_gamma,
 )
+from fracrelax.validation import run_validation
 
 import oracles
 
@@ -120,6 +124,68 @@ class TestKummer:
     def test_non_convergence(self):
         with pytest.raises(NonConvergenceError):
             kummer_1f1(2.0, 1.0, 80.0, SeriesControl(max_terms=10))
+
+
+# Shermergor's CHGF pair: S = 1F1(alpha; 1; -theta), R = (alpha/tau)
+# 1F1(1+alpha; 2; -theta).  Below theta ~ 28 the Kummer-transformed series
+# sums them; above it mostly the large-argument expansion, also where the
+# series alone would need more than its 500-term budget (theta >~ 366).
+CHGF_ALPHAS = (0.05, 0.2, 0.5, 0.8, 0.95, 0.999, 1.0 - 1e-9, 1.0)
+CHGF_THETAS = np.geomspace(1e-3, 1e6, 28)
+
+
+@pytest.mark.parametrize("alpha", CHGF_ALPHAS)
+def test_chgf_pair_against_mpmath(alpha):
+    tau = 2.5
+    for theta in CHGF_THETAS:
+        theta = float(theta)
+        with mp.workdps(30):
+            s_ref = float(mp.hyp1f1(alpha, 1, -theta))
+            r_ref = float(mp.hyp1f1(1 + mp.mpf(alpha), 2, -theta))
+        assert kummer_1f1(alpha, 1.0, -theta) == pytest.approx(s_ref, rel=1e-10), theta
+        assert kummer_1f1(1.0 + alpha, 2.0, -theta) == pytest.approx(r_ref, rel=1e-10), theta
+        assert chgf_relaxation_S(alpha, tau, theta * tau) == pytest.approx(s_ref, rel=1e-10)
+        assert chgf_kernel_R(alpha, tau, theta * tau) == pytest.approx(
+            alpha / tau * r_ref, rel=1e-10
+        )
+
+
+def test_kummer_large_argument_seam():
+    # the expansion against the Kummer-transformed series on x in [30, 300],
+    # where both converge: the invariant lives in the validation suite
+    (record,) = [c for c in run_validation(only="specfun")["checks"]
+                 if c["name"] == "kummer_large_argument"]
+    assert record["passed"], record
+
+
+class TestGammaQ:
+    def test_exponential_case(self):
+        # Q(1, x) = e^-x
+        for x in (0.5, 5.0, 50.0, 500.0):
+            assert gamma_q(1.0, x) == pytest.approx(math.exp(-x), rel=1e-13)
+
+    def test_against_mpmath(self):
+        for a in (0.05, 0.3, 0.7, 0.99, 1.0, 2.5):
+            for x in np.geomspace(a + 1.0, 700.0, 15):
+                x = float(x)
+                expected = float(mp.gammainc(a, x, mp.inf, regularized=True))
+                assert gamma_q(a, x) == pytest.approx(expected, rel=1e-10), (a, x)
+
+    def test_zero_first_denominator(self):
+        # x + 1 - a = 0 opens the fraction with a zero denominator
+        assert gamma_q(2.0, 1.0) == pytest.approx(2.0 / math.e, rel=1e-12)
+
+    def test_underflow_is_zero(self):
+        assert gamma_q(0.5, 1e4) == 0.0
+
+    def test_domain(self):
+        for a, x in ((0.0, 1.0), (-0.5, 1.0), (0.5, 0.0), (0.5, -1.0)):
+            with pytest.raises(ValueError):
+                gamma_q(a, x)
+
+    def test_non_convergence(self):
+        with pytest.raises(NonConvergenceError, match="incomplete gamma"):
+            gamma_q(0.5, 0.01, SeriesControl(max_terms=3))
 
 
 class TestGauss2F1:
