@@ -34,7 +34,6 @@ from .kernels import (
 from .laplace import InverseLaplaceSpec, inverse_laplace
 from .quadrature import (
     QuadratureSpec,
-    asymptotic_tail,
     i_alpha,
     p_conv_unity,
     q_conv_unity,
@@ -113,7 +112,6 @@ __all__ = [
     "q_conv_unity",
     "p_conv_unity",
     "inverse_laplace",
-    "asymptotic_tail",
     # extensions
     "VaninDistribution",
     "vanin_pdf",

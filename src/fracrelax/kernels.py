@@ -6,9 +6,11 @@ S(t)/R(t), the resolvent kernels Q_alpha/P_alpha, and the four-parameter
 Havriliak-Negami relaxation kernel R(t), creep resolvent K(t) and
 relaxation function.
 
-All series are evaluated in fixed summation order with compensated
-accumulation, so results are bitwise reproducible regardless of how a
-caller partitions grid evaluations.
+The Rabotnov relaxation and the HN kernel, relaxation function and creep
+resolvent terms are calls of ``specfun.prabhakar_series``.  All series are
+evaluated in fixed summation order with compensated accumulation, so
+results are bitwise reproducible regardless of how a caller partitions
+grid evaluations.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BranchDegeneracyError, NoResolventError
+from .errors import BranchDegeneracyError, NoResolventError, NonConvergenceError
 from .specfun import (
     DEFAULT_CONTROL,
     EH_SERIES_CROSSOVER,
@@ -24,7 +26,7 @@ from .specfun import (
     eh_alpha,
     gamma,
     kummer_1f1,
-    ln_gamma,
+    prabhakar_series,
     sum_series,
 )
 
@@ -50,6 +52,10 @@ __all__ = [
 # this t/tau0 it is abandoned in favor of the numerical inverse Laplace
 # route (see the evaluate module for the dispatch).
 HN_SERIES_CROSSOVER = 5.0
+# Share of the HN resolvent that the rounding of its inner series may reach
+# before the series route gives up (see hn_creep_resolvent_series).
+_RESOLVENT_NOISE_LIMIT = 1e-6
+_EPS = 2.0**-52
 
 KERNEL_FAMILIES = ("Abel", "Rabotnov", "RzhanitsynDavidson", "CHGF", "HavriliakNegami")
 
@@ -175,17 +181,9 @@ def rabotnov_relaxation(
             f"Rabotnov relaxation series valid for t/tau <= {EH_SERIES_CROSSOVER}; "
             f"got {theta:.3g} (use the spectral integral)"
         )
-    ln_z = alpha * math.log(theta)
-
-    def terms():
-        # log space, as in eh_alpha: theta^(alpha n) and gamma(alpha n + 1)
-        # overflow separately long before their ratio does.
-        n = 0
-        while True:
-            yield (-1.0) ** n * math.exp(n * ln_z - ln_gamma(alpha * n + 1.0))
-            n += 1
-
-    return sum_series(terms(), ctl, what="Rabotnov relaxation series")
+    return prabhakar_series(
+        1.0, alpha, 1.0, -(theta**alpha), ctl, what="Rabotnov relaxation series"
+    )[0]
 
 
 def chgf_relaxation_S(
@@ -278,31 +276,15 @@ def p_kernel(
     return sum_series(terms(), ctl, what="P_alpha outer series") / tau ** (alpha + 1.0)
 
 
-def _hn_series(
-    alpha: float,
-    beta: float,
-    theta: float,
-    ctl: SeriesControl,
-    exponent_shift: float,
-    what: str,
-) -> float:
-    """sum_i (-1)^i G(beta+i)/(G(i+1) G[a(beta+i)+shift]) theta^(a(beta+i)-1+shift)
-    evaluated in log space (coefficients overflow double precision early)."""
-    ln_theta = math.log(theta)
-
-    def terms():
-        i = 0
-        while True:
-            ln_coeff = (
-                ln_gamma(beta + i)
-                - ln_gamma(i + 1.0)
-                - ln_gamma(alpha * (beta + i) + exponent_shift)
-            )
-            expo = alpha * (beta + i) - 1.0 + exponent_shift
-            yield (-1.0) ** i * math.exp(ln_coeff + expo * ln_theta)
-            i += 1
-
-    return sum_series(terms(), ctl, what=what)
+def _hn_prabhakar(
+    alpha: float, g: float, theta: float, shift: float, ctl: SeriesControl, what: str
+) -> tuple[float, float]:
+    """theta^(alpha g - 1 + shift) E^g_{alpha, alpha g + shift}(-theta^alpha)
+    and its largest term (see ``prabhakar_series``), the power prefactor
+    summed inside each term's exponent (for large g it overflows on its own
+    where the term does not)."""
+    ln_scale = (alpha * g - 1.0 + shift) * math.log(theta)
+    return prabhakar_series(g, alpha, alpha * g + shift, -(theta**alpha), ctl, ln_scale, what)
 
 
 def _check_hn_theta(theta: float) -> None:
@@ -321,6 +303,8 @@ def hn_relaxation_kernel(
         R(t) = 1/(tau0 gamma(beta)) sum_i (-1)^i gamma(beta+i)
                (t/tau0)^(alpha(beta+i)-1) / (gamma(i+1) gamma[alpha(beta+i)])
 
+    that is R(t) = theta^(alpha beta - 1)/tau0 E^beta_{alpha,alpha beta}(-theta^alpha)
+    with theta = t/tau0.
     Reductions: beta=1 Rabotnov/Cole-Cole, alpha=1 Rzhanitsyn/Davidson-Cole,
     alpha=beta=1 Debye.  Singular (integrable) at t=0 when alpha*beta < 1;
     the +inf outcome is returned there rather than an error.
@@ -330,8 +314,7 @@ def hn_relaxation_kernel(
         return 1.0 / p.tau0 if p.alpha * p.beta >= 1.0 else math.inf
     theta = t / p.tau0
     _check_hn_theta(theta)
-    s = _hn_series(p.alpha, p.beta, theta, ctl, 0.0, "HN relaxation series")
-    return s / (p.tau0 * gamma(p.beta))
+    return _hn_prabhakar(p.alpha, p.beta, theta, 0.0, ctl, "HN relaxation series")[0] / p.tau0
 
 
 def hn_creep_resolvent(
@@ -343,8 +326,10 @@ def hn_creep_resolvent(
                sum_i (-1)^i gamma(n beta + i) (t/tau0)^(alpha(n beta+i)-1)
                      / (gamma(i+1) gamma[alpha(n beta+i)])
 
-    Inner i-series summed to tolerance for each n, then the outer n-series
-    (terms decay through 1/gamma(n beta)).  beta=1 collapses to the Abel
+    The inner i-series of outer index n is
+    theta^(alpha n beta - 1) E^(n beta)_{alpha,alpha n beta}(-theta^alpha);
+    each is summed to tolerance, then the outer n-series (terms decay
+    through 1/gamma(alpha n beta)).  beta=1 collapses to the Abel
     kernel; alpha=1 to exp(-t/tau0)/t sum_n (t/tau0)^(n beta)/gamma(n beta);
     alpha=beta=1 has no resolvent (distinguished error).  The exact
     reductions are evaluated in closed form (the double series loses digits
@@ -359,61 +344,65 @@ def hn_creep_resolvent(
     if p.beta == 1.0:
         return abel_kernel(p.alpha, p.tau0, t)
     if p.alpha == 1.0:
-        return _koltunov_resolvent(p.beta, p.tau0, t, ctl)
+        # exp(-theta)/t sum_{n>=1} theta^(n beta)/gamma(n beta)
+        #   = exp(-theta)/t theta^beta E^1_{beta,beta}(theta^beta)
+        theta = t / p.tau0
+        ln_scale = p.beta * math.log(theta) - theta
+        series, _ = prabhakar_series(
+            1.0, p.beta, p.beta, theta**p.beta, ctl, ln_scale, "Koltunov series"
+        )
+        return series / t
     return hn_creep_resolvent_series(p, t, ctl)
-
-
-def _koltunov_resolvent(beta: float, tau0: float, t: float, ctl: SeriesControl) -> float:
-    """alpha = 1 reduction: exp(-t/tau0)/t sum_{n>=1} (t/tau0)^(n beta)/gamma(n beta)."""
-    theta = t / tau0
-    ln_theta = math.log(theta)
-
-    def terms():
-        n = 1
-        while True:
-            yield math.exp(n * beta * ln_theta - ln_gamma(n * beta))
-            n += 1
-
-    return math.exp(-theta) / t * sum_series(terms(), ctl, what="Koltunov series")
 
 
 def hn_creep_resolvent_series(
     p: HNParams, t: float, ctl: SeriesControl = DEFAULT_CONTROL
 ) -> float:
     """The general double series behind :func:`hn_creep_resolvent`, without
-    reduction shortcuts.  Conditioning degrades as t/tau0 grows (the inner
-    alternating series for outer index n behaves like one with shape
-    parameter n beta)."""
+    reduction shortcuts.  The inner alternating series cancel more as
+    t/tau0 and n grow.  Where eps times the sum of their largest terms
+    passes ``_RESOLVENT_NOISE_LIMIT`` of the result, no digit of it can be
+    trusted (at alpha = 0.3, beta = 0.9, t/tau0 = 5 the sum comes out near
+    -1e9), and :class:`NonConvergenceError` is raised."""
     _check_time(t)
     if t == 0.0:
         return math.inf
     theta = t / p.tau0
     _check_hn_theta(theta)
 
+    peaks = 0.0
+
     def outer_terms():
+        nonlocal peaks
         n = 1
         while True:
-            inner = _hn_series(
-                p.alpha, n * p.beta, theta, ctl, 0.0, "HN resolvent inner series"
-            )
-            yield inner / math.exp(ln_gamma(n * p.beta))
+            g = n * p.beta
+            term, peak = _hn_prabhakar(p.alpha, g, theta, 0.0, ctl, "HN resolvent inner")
+            peaks += peak
+            yield term
             n += 1
 
-    return sum_series(outer_terms(), ctl, what="HN resolvent outer series") / p.tau0
+    total = sum_series(outer_terms(), ctl, what="HN resolvent outer series")
+    if _EPS * peaks > _RESOLVENT_NOISE_LIMIT * abs(total):
+        raise NonConvergenceError(
+            f"HN resolvent series: cancellation leaves the sum {total:.3g} "
+            f"uncertain by {_EPS * peaks:.1g}"
+        )
+    return total / p.tau0
 
 
 def hn_relaxation_function(
     p: HNParams, t: float, ctl: SeriesControl = DEFAULT_CONTROL
 ) -> float:
-    """Integral of the HN relaxation kernel from 0 to t; 0 at t=0, tending
-    to 1 as t grows."""
+    """Integral of the HN relaxation kernel from 0 to t,
+    theta^(alpha beta) E^beta_{alpha,alpha beta+1}(-theta^alpha) with
+    theta = t/tau0; 0 at t=0, tending to 1 as t grows."""
     _check_time(t)
     if t == 0.0:
         return 0.0
     theta = t / p.tau0
     _check_hn_theta(theta)
-    s = _hn_series(p.alpha, p.beta, theta, ctl, 1.0, "HN relaxation-function series")
-    return s / gamma(p.beta)
+    return _hn_prabhakar(p.alpha, p.beta, theta, 1.0, ctl, "HN relaxation-function series")[0]
 
 
 def p_nu_response(

@@ -1,6 +1,5 @@
-"""Independent quadrature routes for the convolution-with-unity integrals,
-the integral representation of the fractional-exponential kernel, and the
-large-time asymptotic tails.
+"""Independent quadrature routes for the convolution-with-unity integrals
+and the integral representation of the fractional-exponential kernel.
 
 These are the cross-check side of every series in the kernels module: the
 semi-infinite spectral integrals I_alpha, the Q/P convolution integrals,
@@ -30,7 +29,6 @@ __all__ = [
     "q_conv_unity_series",
     "p_conv_unity_series",
     "integral_power_singular",
-    "asymptotic_tail",
 ]
 
 
@@ -334,44 +332,3 @@ def p_conv_unity_series(
     )
     return value * tau**alpha
 
-
-def asymptotic_tail(
-    family: str,
-    theta: float,
-    *,
-    k: float,
-    m: float,
-    alpha: float,
-    lambda0: float = 0.0,
-) -> float:
-    """Large-time estimate of the convolution-with-unity plateaus:
-
-        EH: k(1-m) (1 - k theta^-a / gamma(1-a))
-        Q:  k(1-m) [1 - k a (1+lambda0-k)^-2 theta^(-a-1) e^-theta / gamma(1-a)]
-        P:  k(1-m) [1 - k theta^-a / (gamma(a-1) (lambda0+1))]
-
-    The auxiliary symbols k and lambda0 are caller-supplied.  Valid in the
-    theta >= 10 regime; smaller theta produces a warning, not an error.
-    """
-    if theta < 10.0:
-        warnings.warn(
-            f"asymptotic tail requested at theta = {theta:.3g} < 10 (outside "
-            "the large-time regime)",
-            stacklevel=2,
-        )
-    plateau = k * (1.0 - m)
-    if family == "EH":
-        return plateau * (1.0 - k * theta**-alpha / gamma(1.0 - alpha))
-    if family == "Q":
-        corr = (
-            k
-            * alpha
-            * (1.0 + lambda0 - k) ** -2.0
-            * theta ** (-alpha - 1.0)
-            * math.exp(-theta)
-            / gamma(1.0 - alpha)
-        )
-        return plateau * (1.0 - corr)
-    if family == "P":
-        return plateau * (1.0 - k * theta**-alpha / (gamma(alpha - 1.0) * (lambda0 + 1.0)))
-    raise ValueError(f"family must be EH, Q or P, got {family!r}")

@@ -1,11 +1,18 @@
 """Scalar special functions used by every kernel family.
 
 Everything here is a pure function of its arguments: the gamma function
-(Lanczos), the Kummer confluent hypergeometric function 1F1, the regularized
-upper incomplete gamma function Q(a, x), the Gauss hypergeometric
-2F1(1,1;c;x) specialization, and the fractional-exponential relaxation
-kernel eh_alpha built on them.  Series and continued fractions are governed
-by a shared ``SeriesControl`` truncation policy.
+and its logarithm (the C library's, with poles raised as ``PoleError``),
+the Kummer confluent hypergeometric function 1F1, the regularized upper
+incomplete gamma function Q(a, x), the Gauss hypergeometric 2F1(1,1;c;x)
+specialization, the three-parameter Mittag-Leffler (Prabhakar) series
+E^g_{alpha,beta}(x), and the fractional-exponential relaxation kernel
+eh_alpha built on it.  Series and continued fractions are governed by a
+shared ``SeriesControl`` truncation policy.
+
+Every Mittag-Leffler-type time-domain series of the package (eh_alpha, the
+Rabotnov relaxation, the Havriliak-Negami kernel, relaxation function and
+creep resolvent, the Koltunov resolvent, Suvorova's weighted kernel) is a
+call of ``prabhakar_series``.
 
 1F1(a; c; -x) with 0 < a < c (the Euler-integral case, which holds for
 every CHGF relaxation function and kernel) takes its large-argument
@@ -15,7 +22,6 @@ the Kummer-transformed series sums it.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -97,63 +103,62 @@ def sum_series(terms, ctl: SeriesControl = DEFAULT_CONTROL, what: str = "series"
     return total
 
 
-# Lanczos g = 7, 9-term coefficient set (double-precision workhorse).
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_SQRT_2PI = 2.5066282746310002
-_LN_SQRT_2PI = 0.9189385332046727
-
-
-def _lanczos_series(z: float) -> float:
-    acc = _LANCZOS_COEFFS[0]
-    for i in range(1, 9):
-        acc += _LANCZOS_COEFFS[i] / (z + i)
-    return acc
-
-
 def gamma(x: float) -> float:
-    """Gamma function for real x, poles excluded.
-
-    Lanczos rational approximation with reflection for x < 0.5.
-    """
+    """Gamma function for real x, poles excluded (the C library's tgamma)."""
     if x <= 0.0 and x == math.floor(x):
         raise PoleError(f"gamma pole at x = {x}")
-    if x < 0.5:
-        # reflection: gamma(x) gamma(1-x) = pi / sin(pi x)
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    z = x - 1.0
-    a = _lanczos_series(z)
-    t = z + 7.5
-    return _SQRT_2PI * t ** (z + 0.5) * math.exp(-t) * a
+    return math.gamma(x)
 
 
-@functools.lru_cache(maxsize=4096)
 def ln_gamma(x: float) -> float:
-    """log(gamma(x)) for x > 0; safe for arguments where gamma overflows.
-
-    Memoized: a grid evaluates one model at many t, so the gamma-growth
-    coefficients of its series repeat from point to point.  The cache is
-    bounded (sized for one grid's coefficients) and thread-safe, and a
-    cached value is bitwise the computed one; poles raise every time, since
-    exceptions are not cached.
-    """
+    """log(gamma(x)) for x > 0; safe for arguments where gamma overflows."""
     if x <= 0.0:
         raise PoleError(f"ln_gamma requires x > 0, got {x}")
-    if x < 0.5:
-        return math.log(math.pi / math.sin(math.pi * x)) - ln_gamma(1.0 - x)
-    z = x - 1.0
-    a = _lanczos_series(z)
-    t = z + 7.5
-    return _LN_SQRT_2PI + (z + 0.5) * math.log(t) - t + math.log(a)
+    return math.lgamma(x)
+
+
+def prabhakar_series(
+    g: float,
+    alpha: float,
+    beta: float,
+    x: float,
+    ctl: SeriesControl = DEFAULT_CONTROL,
+    ln_scale: float = 0.0,
+    what: str = "Prabhakar series",
+) -> tuple[float, float]:
+    """e^ln_scale * E^g_{alpha,beta}(x), the three-parameter Mittag-Leffler
+    (Prabhakar) function
+
+        E^g_{alpha,beta}(x) = sum_n (g)_n x^n / (n! gamma(alpha n + beta)),
+
+    by its power series for g, alpha, beta > 0 and real x != 0, and the
+    magnitude of its largest term: rounding leaves the sum uncertain by a
+    few eps times that.  Each term is formed in log space, ``ln_scale``
+    included: x^n, (g)_n / n!, gamma(alpha n + beta) and a power prefactor
+    such as theta^(alpha g) overflow separately long before the term does.
+    A term costs one lgamma at g = 1 and three otherwise.
+    """
+    ln_x = math.log(abs(x))
+    flip = -1.0 if x < 0.0 else 1.0
+    ln_g = math.lgamma(g)
+    ln_peak = -math.inf
+
+    def terms():
+        nonlocal ln_peak
+        sign = 1.0
+        n = 0
+        while True:
+            ln_term = ln_scale + n * ln_x - math.lgamma(alpha * n + beta)
+            if g != 1.0:
+                ln_term += math.lgamma(g + n) - ln_g - math.lgamma(n + 1.0)
+            if ln_term > ln_peak:
+                ln_peak = ln_term
+            yield sign * math.exp(ln_term)
+            sign *= flip
+            n += 1
+
+    total = sum_series(terms(), ctl, what=what)
+    return total, math.exp(ln_peak)
 
 
 def _check_c_pole(c: float) -> None:
@@ -316,12 +321,6 @@ def eh_alpha(alpha: float, tau: float, t: float, ctl: SeriesControl = DEFAULT_CO
         raise ValueError(f"t must be >= 0, got {t}")
     if t == 0.0:
         return 1.0 if alpha == 1.0 else math.inf
-    theta = t / tau
-    if theta > EH_SERIES_CROSSOVER:
-        raise ValueError(
-            f"eh_alpha series valid for t/tau <= {EH_SERIES_CROSSOVER}; "
-            f"got {theta:.3g} (use the integral route)"
-        )
     return t ** (alpha - 1.0) * eh_alpha_regular(alpha, tau, t, ctl)
 
 
@@ -330,7 +329,8 @@ def eh_alpha_regular(
 ) -> float:
     """The bounded factor of eh_alpha: eh(t) * t^(1-alpha).
 
-    Equals sum_n (-1)^n (t/tau)^(alpha n) / gamma(alpha (n+1)); used where
+    Equals sum_n (-1)^n (t/tau)^(alpha n) / gamma(alpha (n+1)), which is
+    E^1_{alpha,alpha}(-(t/tau)^alpha); used where
     the t^(alpha-1) singularity is handled analytically (weighted
     quadrature of convolutions).
     """
@@ -344,14 +344,4 @@ def eh_alpha_regular(
             f"eh_alpha series valid for t/tau <= {EH_SERIES_CROSSOVER}; "
             f"got {theta:.3g} (use the integral route)"
         )
-    ln_z = alpha * math.log(theta)
-
-    def terms():
-        # z^n / gamma(alpha (n+1)) in log space: both factors can overflow
-        # separately long before the term itself does.
-        n = 0
-        while True:
-            yield (-1.0) ** n * math.exp(n * ln_z - ln_gamma(alpha * (n + 1)))
-            n += 1
-
-    return sum_series(terms(), ctl, what="eh series")
+    return prabhakar_series(1.0, alpha, alpha, -(theta**alpha), ctl, what="eh series")[0]

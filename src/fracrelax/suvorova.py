@@ -12,9 +12,9 @@ series and the direct convolution integral
     ehw(t) = t^-alpha sum_n [-k G(1-alpha)]^n t^(n(1-alpha)) / G[(n+1)(1-alpha)]
 
 which is the standard eh kernel of order (1 - alpha) evaluated at
-lambda = k gamma(1-alpha), i.e. timescale (k gamma(1-alpha))^(-1/(1-alpha));
-the two conventions are kept as distinct functions to avoid silently mixing
-their normalizations.
+lambda = k gamma(1-alpha), i.e. timescale (k gamma(1-alpha))^(-1/(1-alpha)).
+``eh_weighted_regular`` returns its bounded factor ehw(t) t^alpha through
+that bridge.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .specfun import (
     DEFAULT_CONTROL,
     EH_SERIES_CROSSOVER,
     SeriesControl,
+    eh_alpha_regular,
     gamma,
     gauss_2f1_11,
     ln_gamma,
@@ -35,7 +36,6 @@ from .specfun import (
 
 __all__ = [
     "SuvorovaModel",
-    "eh_weighted",
     "eh_weighted_regular",
     "suvorova_stress_series",
     "suvorova_convolution",
@@ -69,8 +69,8 @@ def eh_weighted_regular(
 ) -> float:
     """ehw(t) * t^alpha: the bounded factor of the weighted kernel.
 
-    Series route inside the eh crossover of the bridged order-(1-alpha)
-    kernel; integral representation beyond it (the bridge timescale
+    ``eh_alpha_regular`` of order 1 - alpha inside the eh crossover of the
+    bridged kernel; integral representation beyond it (the bridge timescale
     (k gamma(1-alpha))^(-1/(1-alpha)) collapses rapidly as alpha -> 1, so
     the fallback matters even for moderate times).
     """
@@ -85,25 +85,7 @@ def eh_weighted_regular(
         from .quadrature import eh_alpha_integral
 
         return eh_alpha_integral(order, tau_eh, t) * t**alpha
-    ln_z = math.log(lam) + order * math.log(t)
-
-    def terms():
-        n = 0
-        while True:
-            yield (-1.0) ** n * math.exp(n * ln_z - ln_gamma((n + 1) * order))
-            n += 1
-
-    return sum_series(terms(), ctl, what="weighted eh series")
-
-
-def eh_weighted(
-    alpha: float, k: float, t: float, ctl: SeriesControl = DEFAULT_CONTROL
-) -> float:
-    """Gamma-weighted fractional-exponential kernel ehw(-k, t); singular as
-    t^-alpha at the origin."""
-    if t <= 0.0:
-        raise ValueError(f"t must be > 0, got {t}")
-    return t**-alpha * eh_weighted_regular(alpha, k, t, ctl)
+    return eh_alpha_regular(order, tau_eh, t, ctl)
 
 
 def suvorova_stress_series(

@@ -87,6 +87,40 @@ def mittag_leffler(alpha, z, n_terms=300):
     return sum(z**n / mp.gamma(alpha * n + 1) for n in range(n_terms))
 
 
+def prabhakar(g, a, b, z, dps=50):
+    """Prabhakar's E^g_{a,b}(z) = sum_n (g)_n z^n / (n! gamma(a n + b)) at
+    ``dps`` digits, summed until the terms have peaked and three in a row
+    fall below 10^-dps of the sum (no fixed term count, so small ``a``,
+    whose terms decay late, gets as many as it needs)."""
+    return prabhakar_with_peak(g, a, b, z, dps)[0]
+
+
+def prabhakar_with_peak(g, a, b, z, dps=50):
+    """``prabhakar`` and the magnitude of its largest term: a double-precision
+    sum of the same series cannot be trusted closer than some eps times the
+    latter."""
+    with mp.workdps(dps):
+        g, a, b, z = mp.mpf(g), mp.mpf(a), mp.mpf(b), mp.mpf(z)
+        eps = mp.mpf(10) ** -dps
+        coeff = mp.mpf(1)  # (g)_n z^n / n!
+        total = mp.mpf(0)
+        peak = mp.mpf(0)
+        previous = mp.mpf(0)
+        small = 0
+        n = 0
+        while True:
+            term = coeff * mp.rgamma(a * n + b)
+            total += term
+            peak = max(peak, abs(term))
+            falling = abs(term) <= abs(previous)
+            small = small + 1 if falling and abs(term) <= eps * abs(total) else 0
+            if small >= 3:
+                return total, peak
+            previous = term
+            coeff *= (g + n) * z / (n + 1)
+            n += 1
+
+
 def p_nu_series(alpha, m, variant, tau, t, n_terms=80):
     alpha, m, tau, t = mp.mpf(alpha), mp.mpf(m), mp.mpf(tau), mp.mpf(t)
     q = 1 / m - 1 if variant == 3 else m - 1

@@ -6,7 +6,6 @@ from fracrelax.quadrature import QuadratureSpec
 from fracrelax.specfun import gamma, gauss_2f1_11
 from fracrelax.suvorova import (
     SuvorovaModel,
-    eh_weighted,
     eh_weighted_regular,
     suvorova_convolution,
     suvorova_stress_series,
@@ -78,13 +77,12 @@ class TestWeightedEh:
         lam = k * gamma(1.0 - alpha)
         tau_eh = lam ** (-1.0 / (1.0 - alpha))
         for t in (0.2, 1.0, 3.0):
-            assert eh_weighted(alpha, k, t) == pytest.approx(
+            assert eh_weighted_regular(alpha, k, t) * t**-alpha == pytest.approx(
                 eh_alpha(1.0 - alpha, tau_eh, t), rel=1e-12
             )
 
     def test_leading_term(self):
-        t = 1e-30
-        assert eh_weighted(0.5, 0.3, t) * t**0.5 == pytest.approx(
+        assert eh_weighted_regular(0.5, 0.3, 1e-30) == pytest.approx(
             1.0 / gamma(0.5), rel=1e-10
         )
 

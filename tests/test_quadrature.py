@@ -13,7 +13,6 @@ from fracrelax.kernels import (
 from fracrelax.laplace import InverseLaplaceSpec, bromwich_euler, inverse_laplace, talbot
 from fracrelax.quadrature import (
     QuadratureSpec,
-    asymptotic_tail,
     eh_alpha_integral,
     eh_conv_unity_series,
     i_alpha,
@@ -187,31 +186,3 @@ class TestInverseLaplace:
             InverseLaplaceSpec(method="bogus")
         with pytest.raises(ValueError):
             inverse_laplace(lambda s: 1.0 / s, 0.0)
-
-
-class TestAsymptoticTail:
-    def test_no_relaxation_at_m_one(self):
-        assert asymptotic_tail("EH", 20.0, k=1.0, m=1.0, alpha=0.5) == 0.0
-
-    def test_eh_error_shrinks_with_theta(self):
-        # compare with the exact plateau route (1-m)(1 - I_alpha(theta)) at k=1
-        m, alpha = 0.5, 0.5
-        errors = []
-        for theta in (20.0, 40.0):
-            exact = (1.0 - m) * (1.0 - i_alpha(alpha, theta))
-            approx = asymptotic_tail("EH", theta, k=1.0, m=m, alpha=alpha)
-            errors.append(abs(approx - exact) / exact)
-        assert errors[1] < errors[0]
-
-    def test_q_correction_negligible(self):
-        plateau = 0.5
-        value = asymptotic_tail("Q", 30.0, k=1.0, m=0.5, alpha=0.5, lambda0=0.3)
-        assert abs(value - plateau) < 1e-10 * plateau
-
-    def test_regime_warning(self):
-        with pytest.warns(UserWarning):
-            asymptotic_tail("EH", 5.0, k=1.0, m=0.5, alpha=0.5)
-
-    def test_unknown_family(self):
-        with pytest.raises(ValueError):
-            asymptotic_tail("XX", 20.0, k=1.0, m=0.5, alpha=0.5)
