@@ -21,14 +21,11 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from .errors import EvaluationError, NoResolventError
 from .evaluate import QUANTITIES, evaluate_model, laplace_image, spectrum_density
 from .fitting import fit_hn
 from .kernels import KERNEL_FAMILIES, KernelModel
 from .laplace import InverseLaplaceSpec, inverse_laplace
-from .quadrature import QuadratureSpec
 from .specfun import SeriesControl
 from .validation import run_validation
 
@@ -164,17 +161,14 @@ def _merge_config(args: argparse.Namespace) -> None:
             setattr(args, attr, cfg[key])
 
 
-def _controls(args) -> tuple[SeriesControl, QuadratureSpec]:
+def _controls(args) -> SeriesControl:
     tol = getattr(args, "tol", None)
     if tol is None:
-        return SeriesControl(), QuadratureSpec()
+        return SeriesControl()
     tol = float(tol)
     if not 0.0 < tol < 1.0:
         raise ConfigError(f"--tol must be in (0, 1), got {tol}")
-    return (
-        SeriesControl(rel_tol=tol),
-        QuadratureSpec(rel_tol=tol, abs_tol=tol * 1e-2),
-    )
+    return SeriesControl(rel_tol=tol)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -196,7 +190,7 @@ def cmd_eval(args) -> int:
         raise ConfigError("eval --method must be auto, series or quadrature")
     if method == "quadrature" and quantity not in ("kernel", "resolvent"):
         raise ConfigError("forced quadrature supports kernel and resolvent only")
-    ctl, quad = _controls(args)
+    ctl = _controls(args)
     log.info(
         "eval: %s %s over %d points (%s route)", model.family, quantity, len(ts), method
     )
@@ -207,7 +201,7 @@ def cmd_eval(args) -> int:
                 value = inverse_laplace(laplace_image(model, quantity), t)
                 used = "quadrature"
             else:
-                value, used = evaluate_model(model, quantity, t, ctl, quad)
+                value, used = evaluate_model(model, quantity, t, ctl)
                 if method == "series" and used != "series":
                     raise EvaluationError(f"series route not valid at t = {t}")
         except NoResolventError as exc:
@@ -236,7 +230,8 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _read_fit_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
+def _read_fit_csv(path: str):
+    """(omega, values) arrays from an omega,re,im CSV."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
@@ -255,6 +250,8 @@ def _read_fit_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
             raise ConfigError(f"line {i}: {exc}") from exc
         omegas.append(w)
         values.append(complex(re_part, im_part))
+    import numpy as np
+
     return np.array(omegas), np.array(values)
 
 
@@ -262,7 +259,7 @@ def cmd_fit(args) -> int:
     if not args.in_path:
         raise ConfigError("fit requires --in CSV")
     omega, data = _read_fit_csv(args.in_path)
-    log.info("fit: %d samples, omega in [%g, %g]", len(omega), omega.min(), omega.max())
+    log.info("fit: %d samples, omega in [%g, %g]", len(omega), min(omega), max(omega))
     try:
         result = fit_hn(omega, data)
     except ValueError as exc:
@@ -305,7 +302,7 @@ def cmd_invert(args) -> int:
             "bromwich-series-acceleration (euler)"
         )
     spec = InverseLaplaceSpec(method=method)
-    ctl, quad = _controls(args)
+    ctl = _controls(args)
 
     rows = ["t,series_value,inverted_value,rel_diff"]
     try:
@@ -313,7 +310,7 @@ def cmd_invert(args) -> int:
         for t in ts:
             inverted = inverse_laplace(image, t, spec)
             try:
-                series, used = evaluate_model(model, quantity, t, ctl, quad)
+                series, used = evaluate_model(model, quantity, t, ctl)
                 if used != "series" or not math.isfinite(series):
                     raise EvaluationError("no series value")
                 rel = abs(series - inverted) / max(abs(series), 1e-300)
@@ -350,7 +347,7 @@ def _add_common(sub: argparse.ArgumentParser, *, model: bool = True) -> None:
         sub.add_argument("--model", help="kernel model as JSON")
         sub.add_argument("--grid", help="start:stop:points[:linear|log]")
     sub.add_argument("--out", help="output path (stdout if omitted)")
-    sub.add_argument("--tol", type=float, help="series/quadrature relative tolerance")
+    sub.add_argument("--tol", type=float, help="series relative tolerance")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,18 +1,21 @@
 """Route a kernel-family evaluation to its accurate representation.
 
-Each scalar evaluation returns ``(value, method)`` with method one of
-"series", "quadrature" or "asymptotic", following the crossover rules:
-the fractional-exponential series is trusted up to t/tau = 10 and the
-Havriliak-Negami series up to t/tau0 = 5; beyond those the integral
-representation respectively the numerical inverse Laplace transform takes
-over; far tails of the relaxation function use the power-law expansion.
-The Rabotnov relaxation series route is E_alpha(-theta^alpha) summed
-directly (``rabotnov_relaxation``).  The Rzhanitsyn-Davidson relaxation
-function is exactly the regularized upper incomplete gamma function
-Q(alpha, t/tau); past t/tau = 5 it is evaluated as that (``gamma_q``, a
-continued fraction, labelled "series"), not by inverting its image.  The
-CHGF pair S and R are Kummer functions at every t (``kummer_1f1`` switches
-to its large-argument expansion by itself).
+Each scalar evaluation returns ``(value, method)`` with method "series" or
+"quadrature", following the crossover rules: the fractional-exponential
+series is trusted up to t/tau = 10 and the Havriliak-Negami series up to
+t/tau0 = 5.  Beyond t/tau = 10 the Rabotnov kernel and relaxation function
+are their spectral integrals on one fixed double-exponential rule
+(``eh_alpha_de``, ``i_alpha_de``, labelled "quadrature"; they raise
+NonConvergenceError where the rule cannot vouch for 1e-6, which happens
+only at alpha below 0.05 or t/tau past 1e4).  Beyond t/tau0 = 5 the
+Havriliak-Negami quantities are inverted from their Laplace images.  The
+Rabotnov relaxation series route is E_alpha(-theta^alpha) summed directly
+(``rabotnov_relaxation``).  The Rzhanitsyn-Davidson relaxation function is
+exactly the regularized upper incomplete gamma function Q(alpha, t/tau);
+past t/tau = 5 it is evaluated as that (``gamma_q``, a continued fraction,
+labelled "series"), not by inverting its image.  The CHGF pair S and R are
+Kummer functions at every t (``kummer_1f1`` switches to its large-argument
+expansion by itself).
 
 The t/tau0 = 5 crossover governs the HN kernel, the HN relaxation function
 and the exact creep-resolvent reductions (beta = 1 Abel, alpha = 1
@@ -47,12 +50,7 @@ from .kernels import (
     rzhanitsyn_kernel,
 )
 from .laplace import DEFAULT_INVERSION, InverseLaplaceSpec, inverse_laplace
-from .quadrature import (
-    DEFAULT_QUADRATURE,
-    QuadratureSpec,
-    eh_alpha_integral,
-    i_alpha,
-)
+from .quadrature import eh_alpha_de, i_alpha_de
 from .resolvent import volterra_resolvent_transform
 from .spectra import (
     abel_image,
@@ -75,10 +73,6 @@ from .specfun import (
 __all__ = ["QUANTITIES", "evaluate_model", "spectrum_density"]
 
 QUANTITIES = ("kernel", "resolvent", "relaxation")
-
-# Beyond this theta the Rabotnov relaxation function switches from the
-# spectral integral to its power-law tail expansion.
-_ASYMPTOTIC_CROSSOVER = 100.0
 
 
 def laplace_image(model: KernelModel, quantity: str):
@@ -111,20 +105,19 @@ def evaluate_model(
     quantity: str,
     t: float,
     ctl: SeriesControl = DEFAULT_CONTROL,
-    quad: QuadratureSpec = DEFAULT_QUADRATURE,
     inversion: InverseLaplaceSpec = DEFAULT_INVERSION,
 ) -> tuple[float, str]:
     """Evaluate the requested quantity of a kernel model at time t."""
     if quantity == "kernel":
-        return _kernel(model, t, ctl, quad, inversion)
+        return _kernel(model, t, ctl, inversion)
     if quantity == "resolvent":
-        return _resolvent(model, t, ctl, quad, inversion)
+        return _resolvent(model, t, ctl, inversion)
     if quantity == "relaxation":
-        return _relaxation(model, t, ctl, quad, inversion)
+        return _relaxation(model, t, ctl, inversion)
     raise ValueError(f"quantity must be one of {QUANTITIES}, got {quantity!r}")
 
 
-def _kernel(model, t, ctl, quad, inversion):
+def _kernel(model, t, ctl, inversion):
     theta = t / model.tau
     if model.family == "Abel":
         return abel_kernel(model.alpha, model.tau, t), "series"
@@ -133,7 +126,7 @@ def _kernel(model, t, ctl, quad, inversion):
             return math.exp(-theta), "series"
         if theta <= EH_SERIES_CROSSOVER:
             return eh_alpha(model.alpha, model.tau, t, ctl), "series"
-        return eh_alpha_integral(model.alpha, model.tau, t, quad), "quadrature"
+        return eh_alpha_de(model.alpha, model.tau, t), "quadrature"
     if model.family == "RzhanitsynDavidson":
         return rzhanitsyn_kernel(model.alpha, model.tau, t), "series"
     if model.family == "CHGF":
@@ -144,7 +137,7 @@ def _kernel(model, t, ctl, quad, inversion):
     return inverse_laplace(laplace_image(model, "kernel"), t, inversion), "quadrature"
 
 
-def _resolvent(model, t, ctl, quad, inversion):
+def _resolvent(model, t, ctl, inversion):
     theta = t / model.tau
     if model.family == "Rabotnov":
         # table reduction: the resolvent of the eh kernel is the Abel kernel
@@ -164,7 +157,7 @@ def _resolvent(model, t, ctl, quad, inversion):
     raise ValueError(f"no creep resolvent evaluation for family {model.family!r}")
 
 
-def _relaxation(model, t, ctl, quad, inversion):
+def _relaxation(model, t, ctl, inversion):
     theta = t / model.tau
     if model.family == "Abel":
         # 1 - convolution with unity of the Abel kernel (unbounded decay)
@@ -174,9 +167,7 @@ def _relaxation(model, t, ctl, quad, inversion):
             return math.exp(-theta), "series"
         if theta <= EH_SERIES_CROSSOVER:
             return rabotnov_relaxation(model.alpha, model.tau, t, ctl), "series"
-        if theta <= _ASYMPTOTIC_CROSSOVER:
-            return i_alpha(model.alpha, theta, quad), "quadrature"
-        return _mittag_leffler_tail(model.alpha, theta), "asymptotic"
+        return i_alpha_de(model.alpha, theta), "quadrature"
     if model.family == "CHGF":
         return chgf_relaxation_S(model.alpha, model.tau, t, ctl), "series"
     if theta <= HN_SERIES_CROSSOVER:
@@ -188,34 +179,26 @@ def _relaxation(model, t, ctl, quad, inversion):
     return inverse_laplace(lambda s: (1.0 - kernel(s)) / s, t, inversion), "quadrature"
 
 
-def _mittag_leffler_tail(alpha: float, theta: float, max_terms: int = 8) -> float:
-    """Large-theta expansion of the Rabotnov relaxation function:
-    sum_k (-1)^(k+1) theta^(-alpha k) / gamma(1 - alpha k), optimally
-    truncated (divergent asymptotic series)."""
-    total = 0.0
-    previous = math.inf
-    for k in range(1, max_terms + 1):
-        g = 1.0 - alpha * k
-        if g == math.floor(g):  # gamma pole: term vanishes
-            continue
-        term = (-1.0) ** (k + 1) * theta ** (-alpha * k) / gamma(g)
-        if abs(term) >= previous:
-            break
-        total += term
-        previous = abs(term)
-    return total
-
-
 def spectrum_density(model: KernelModel, tau: float) -> tuple[float, str]:
     """Relaxation-time spectrum density (per unit ln tau) of the model.
 
     Closed form for the Rabotnov family; branch-cut evaluation of the
     transform image otherwise.  The Abel spectrum is non-normalizable and
-    reported as the raw branch-cut density.
+    reported as the raw branch-cut density.  The cut of (1 + s tau)^-beta
+    (Rzhanitsyn-Davidson, and Havriliak-Negami at alpha = 1) covers
+    tau < model.tau only, and the CHGF cut tau > model.tau only: off it the
+    density is exactly 0, and at the branch point tau = model.tau it is
+    infinite.
     """
     if model.family == "Rabotnov":
         return rabotnov_spectrum_H(model.alpha, model.tau, tau), "series"
     if model.family == "Abel":
         b = model.alpha * math.pi
         return math.sin(b) / math.pi * (tau / model.tau) ** model.alpha, "series"
+    chgf = model.family == "CHGF"
+    if (chgf or model.hn_params().alpha == 1.0) and tau > 0.0:
+        if tau == model.tau:
+            return math.inf, "quadrature"
+        if (tau > model.tau) != chgf:
+            return 0.0, "quadrature"
     return numeric_spectrum(laplace_image(model, "kernel"), tau), "quadrature"

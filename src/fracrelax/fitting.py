@@ -6,18 +6,20 @@ optimization runs under box constraints (0 < alpha <= 1, 0 < beta <= 1,
 tau0 > 0 via log parameterization, moduli positive with m_inf >= m_0
 enforced through the difference parameter).  Initialization follows the
 loss-peak heuristics documented on :func:`initial_guess`, so a fit is fully
-reproducible from its inputs.  ``scipy.optimize.least_squares`` loads on the
-first fit, not when this module is imported.
+reproducible from its inputs.  numpy and ``scipy.optimize.least_squares``
+load on the first fit, not when this module is imported.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .kernels import HNParams
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["FitResult", "initial_guess", "fit_hn"]
 
@@ -42,6 +44,8 @@ def _model(x: np.ndarray, omega: np.ndarray) -> np.ndarray:
 
 
 def _residuals(x: np.ndarray, omega, data, w_re, w_im) -> np.ndarray:
+    import numpy as np
+
     misfit = _model(x, omega) - data
     return np.concatenate([misfit.real * w_re, misfit.imag * w_im])
 
@@ -55,6 +59,8 @@ def initial_guess(omega: np.ndarray, data: np.ndarray) -> np.ndarray:
     * beta = 1;
     * m_0 and m_inf from the low/high-frequency plateaus of Re data.
     """
+    import numpy as np
+
     order = np.argsort(omega)
     omega = omega[order]
     data = data[order]
@@ -92,6 +98,7 @@ def fit_hn(
     Non-convergence is reported through the ``converged`` flag, not an
     exception; the best found parameters are always returned.
     """
+    import numpy as np
     from scipy.optimize import least_squares
 
     omega = np.asarray(omega, dtype=float)
@@ -148,6 +155,8 @@ def fit_hn(
 def _std_errors(result, tau0: float) -> dict[str, float]:
     """Per-parameter standard errors from the Gauss-Newton covariance
     (pseudo-inverse handles parameters pinned at their bounds)."""
+    import numpy as np
+
     m, n = result.jac.shape
     dof = max(m - n, 1)
     s2 = 2.0 * result.cost / dof

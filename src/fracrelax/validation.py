@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from . import quadrature as qd
 from .kernels import (
     HNParams,
@@ -52,6 +50,8 @@ def _log_grid(start: float, stop: float, n: int) -> list[float]:
 
 
 def _random_specs(n: int, seed: int = 20240) -> list[ResolventSpec]:
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     specs = []
     for _ in range(n):

@@ -121,6 +121,25 @@ def prabhakar_with_peak(g, a, b, z, dps=50):
             n += 1
 
 
+def rabotnov(alpha, theta, kernel=False, dps=(30, 45)):
+    """The Rabotnov relaxation function E_alpha(-theta^alpha), or with
+    ``kernel`` the fractional-exponential kernel at tau = 1,
+    theta^(alpha-1) E_{alpha,alpha}(-theta^alpha), by mpmath's Talbot
+    inversion of their images s^(alpha-1)/(s^alpha + 1) and 1/(s^alpha + 1).
+    Adaptive: the precision also sets Talbot's node count, and the two
+    evaluations at ``dps`` must agree to 1e-20 or ArithmeticError is raised."""
+    values = []
+    for digits in dps:
+        with mp.workdps(digits):
+            a = mp.mpf(alpha)
+            image = (lambda s: 1 / (s**a + 1)) if kernel else (lambda s: s ** (a - 1) / (s**a + 1))
+            values.append(mp.invertlaplace(image, mp.mpf(theta), method="talbot"))
+    low, high = values
+    if abs(low - high) > mp.mpf("1e-20") * abs(high):
+        raise ArithmeticError(f"Talbot at {dps} digits disagrees: {low} vs {high}")
+    return float(high)
+
+
 def p_nu_series(alpha, m, variant, tau, t, n_terms=80):
     alpha, m, tau, t = mp.mpf(alpha), mp.mpf(m), mp.mpf(tau), mp.mpf(t)
     q = 1 / m - 1 if variant == 3 else m - 1

@@ -187,6 +187,24 @@ class TestSpectrumCommand:
         values = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
         assert all(v >= 0.0 for v in values)
 
+    @pytest.mark.parametrize(
+        "model, zero_side",
+        [('{"family":"RzhanitsynDavidson","alpha":0.6,"tau":1.0}', 2),
+         ('{"family":"HavriliakNegami","alpha":1.0,"beta":0.6,"tau":1.0}', 2),
+         ('{"family":"CHGF","alpha":0.6,"tau":1.0}', 0)],
+    )
+    def test_one_sided_cut(self, model, zero_side, tmp_path):
+        # off the cut exactly 0 (it printed about 1e-300); at the branch
+        # point tau = 1 inf (it printed 2.58e179 for Rzhanitsyn-Davidson)
+        out = tmp_path / "s.csv"
+        assert main(["spectrum", "--model", model, "--grid", "0.1:10:3:log", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert rows[1][1] == "inf"
+        assert rows[zero_side][1] == "0"
+        assert float(rows[2 - zero_side][1]) == pytest.approx(
+            math.sin(0.6 * math.pi) / math.pi * (10.0 - 1.0) ** -0.6, rel=1e-12
+        )
+
 
 def write_fit_data(path, noise=0.0, seed=None):
     p = HNParams(0.61, 1.0, 1.0, m_inf=2.0, m_0=1.0)
@@ -278,11 +296,11 @@ class TestModuliPair:
         assert "config error" in capsys.readouterr().err
 
 
-def scipy_loaded_by(code):
-    """Names of the scipy modules a fresh interpreter holds after running code."""
+def loaded_by(code, package="scipy"):
+    """Names of the ``package`` modules a fresh interpreter holds after running code."""
     probe = code + (
         "\nimport json, sys\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+        f"print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == {package!r})))\n"
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -294,32 +312,46 @@ def main_call(*argv):
 
 
 class TestImportContract:
-    # scipy loads on the first QUADPACK call or fit, never on import
+    # scipy loads on the first QUADPACK call or fit, never on import or eval;
+    # numpy on the first fixed-node rule, fit or validate, never on import
+    SERIES_AND_INVERSION = (
+        ["eval", "--model", '{"family":"HavriliakNegami","alpha":0.6,"beta":0.8,"tau":1.0}',
+         "--grid", "0.01:1:5"],
+        ["spectrum", "--model", '{"family":"RzhanitsynDavidson","alpha":0.6,"tau":1.0}',
+         "--grid", "0.1:10:5:log"],
+        ["invert", "--model", '{"family":"HavriliakNegami","alpha":0.6,"beta":0.8,"tau":1.0}',
+         "--grid", "0.5:2:4", "--method", "talbot"],
+    )
+
     def test_import_loads_no_scipy(self):
-        assert scipy_loaded_by("import fracrelax") == []
+        assert loaded_by("import fracrelax") == []
+
+    def test_import_loads_no_numpy(self):
+        assert loaded_by("import fracrelax", "numpy") == []
 
     def test_series_and_inversion_commands_load_no_scipy(self, tmp_path):
         out = str(tmp_path / "out.csv")
-        hn_kernel = '{"family":"HavriliakNegami","alpha":0.6,"beta":0.8,"tau":1.0}'
-        rd = '{"family":"RzhanitsynDavidson","alpha":0.6,"tau":1.0}'
-        for argv in (
-            ["eval", "--model", hn_kernel, "--grid", "0.01:1:5", "--out", out],
-            ["spectrum", "--model", rd, "--grid", "0.1:10:5:log", "--out", out],
-            ["invert", "--model", hn_kernel, "--grid", "0.5:2:4", "--method", "talbot",
-             "--out", out],
-        ):
-            assert scipy_loaded_by(main_call(*argv)) == [], argv[0]
+        for argv in self.SERIES_AND_INVERSION:
+            assert loaded_by(main_call(*argv, "--out", out)) == [], argv[0]
 
-    def test_quadrature_route_loads_scipy_integrate(self, tmp_path):
+    def test_series_and_inversion_commands_load_no_numpy(self, tmp_path):
         out = str(tmp_path / "out.csv")
-        loaded = scipy_loaded_by(main_call("eval", "--model", RABOTNOV, "--grid", "20:30:2",
-                                           "--out", out))
-        assert "scipy.integrate" in loaded
+        for argv in self.SERIES_AND_INVERSION:
+            assert loaded_by(main_call(*argv, "--out", out), "numpy") == [], argv[0]
+
+    def test_rabotnov_quadrature_route_loads_no_scipy(self, tmp_path):
+        out = str(tmp_path / "out.csv")
+        for grid, quantity in (("20:30:2", "kernel"), ("200:3000:2", "relaxation")):
+            argv = ("eval", "--model", RABOTNOV, "--grid", grid, "--quantity", quantity,
+                    "--out", out)
+            assert loaded_by(main_call(*argv)) == [], quantity
+            rows = (tmp_path / "out.csv").read_text().splitlines()[1:]
+            assert [row.split(",")[2] for row in rows] == ["quadrature"] * 2
 
     def test_fit_loads_scipy_optimize(self, tmp_path):
         data = tmp_path / "data.csv"
         write_fit_data(data)
-        loaded = scipy_loaded_by(main_call("fit", "--in", str(data), "--out",
+        loaded = loaded_by(main_call("fit", "--in", str(data), "--out",
                                            str(tmp_path / "fit.json")))
         assert "scipy.optimize" in loaded
 

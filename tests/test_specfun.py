@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from fracrelax.errors import BranchDegeneracyError, NonConvergenceError, PoleError
 from fracrelax.kernels import HNParams, chgf_kernel_R, chgf_relaxation_S, hn_relaxation_kernel
 from fracrelax.specfun import (
+    DEFAULT_CONTROL,
     SeriesControl,
+    _kummer_large_argument,
     eh_alpha,
     gamma,
     gamma_q,
@@ -157,6 +159,30 @@ def test_chgf_pair_against_mpmath(alpha):
         assert chgf_kernel_R(alpha, tau, theta * tau) == pytest.approx(
             alpha / tau * r_ref, rel=1e-10
         )
+
+
+# Near the expansion's gate its remainder is about e^-x-sized, and the u = 1
+# end alone understates it: (1.99, 2, 39.8) used to be accepted 1.14e-12 off.
+@pytest.mark.parametrize(
+    "a, c, x",
+    [(1.99, 2.0, 39.8), (1.8, 2.0, 37.03), (1.9, 2.0, 37.8), (1.5, 2.0, 33.0),
+     (0.9, 1.0, 33.2), (0.5, 1.0, 30.0), (0.05, 1.0, 28.0), (1.0 + 1e-9, 2.0, 45.0)],
+)
+def test_kummer_large_argument_within_rel_tol(a, c, x):
+    with mp.workdps(30):
+        expected = float(mp.hyp1f1(a, c, -x))
+    expansion = _kummer_large_argument(a, c, x, DEFAULT_CONTROL)
+    if expansion is not None:
+        assert expansion == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert kummer_1f1(a, c, -x) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95, 1.0 - 1e-9])
+def test_kummer_large_argument_taken_past_series_budget(alpha):
+    # past x ~ 366 the 500-term series cannot serve the CHGF pair
+    for a, c in ((alpha, 1.0), (1.0 + alpha, 2.0)):
+        for x in (366.0, 1e3, 1e6):
+            assert _kummer_large_argument(a, c, x, DEFAULT_CONTROL) is not None
 
 
 def test_kummer_large_argument_seam():
