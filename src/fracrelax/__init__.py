@@ -16,7 +16,7 @@ from .errors import (
     PoleError,
     SingularSymbolError,
 )
-from .evaluate import evaluate_model, spectrum_density
+from .evaluate import evaluate_model, modulus, spectrum_density
 from .fitting import FitResult, fit_hn
 from .kernels import (
     HNParams,
@@ -32,34 +32,16 @@ from .kernels import (
     rabotnov_relaxation,
 )
 from .laplace import InverseLaplaceSpec, inverse_laplace
-from .quadrature import (
-    QuadratureSpec,
-    i_alpha,
-    p_conv_unity,
-    q_conv_unity,
-)
+from .quadrature import QuadratureSpec, i_alpha, p_conv_unity, q_conv_unity
 from .resolvent import (
     ResolventSpec,
-    basic_operator_transform,
     degree_lowering_residual,
-    hilbert_identity_residual,
     modulus_compliance_transform,
     resolvent_transform,
     volterra_resolvent_transform,
 )
 from .specfun import SeriesControl, eh_alpha, gamma, gauss_2f1_11, kummer_1f1
-from .spectra import (
-    ComplianceImageForm,
-    chgf_modulus,
-    compliance_image,
-    hn_modulus,
-    hn_normalized,
-    numeric_spectrum,
-    rabotnov_compliance,
-    rabotnov_modulus,
-    rabotnov_spectrum_H,
-    rabotnov_spectrum_L,
-)
+from .spectra import numeric_spectrum, rabotnov_spectrum_H, rabotnov_spectrum_L
 from .suvorova import SuvorovaModel, suvorova_convolution, suvorova_stress_series
 from .vanin import VaninDistribution, vanin_moment, vanin_pdf
 
@@ -90,20 +72,12 @@ __all__ = [
     "rabotnov_relaxation",
     # resolvent algebra
     "ResolventSpec",
-    "basic_operator_transform",
     "resolvent_transform",
     "modulus_compliance_transform",
-    "hilbert_identity_residual",
     "degree_lowering_residual",
     "volterra_resolvent_transform",
     # spectra and dispersion
-    "ComplianceImageForm",
-    "compliance_image",
-    "rabotnov_modulus",
-    "rabotnov_compliance",
-    "chgf_modulus",
-    "hn_modulus",
-    "hn_normalized",
+    "modulus",
     "rabotnov_spectrum_H",
     "rabotnov_spectrum_L",
     "numeric_spectrum",

@@ -28,8 +28,9 @@ alpha.
 Each family's Laplace image is written once, in ``laplace_image``: the
 inverse-Laplace routes here, the branch-cut spectra of ``spectrum_density``
 and the CLI's forced-quadrature ``eval`` and ``invert`` all take it from
-there.  The Rzhanitsyn-Davidson relaxation and resolvent series go through
-its HN view, ``KernelModel.hn_params()``.
+there, and so does the complex modulus ``modulus``, which is one formula
+for every family.  The Rzhanitsyn-Davidson relaxation and resolvent series
+go through its HN view, ``KernelModel.hn_params()``.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from __future__ import annotations
 import math
 from functools import partial
 
+from .errors import DegenerateSpectrumError
 from .kernels import (
     HN_SERIES_CROSSOVER,
     KernelModel,
@@ -70,7 +72,7 @@ from .specfun import (
     gamma_q,
 )
 
-__all__ = ["QUANTITIES", "evaluate_model", "spectrum_density"]
+__all__ = ["QUANTITIES", "evaluate_model", "modulus", "spectrum_density"]
 
 QUANTITIES = ("kernel", "resolvent", "relaxation")
 
@@ -100,6 +102,27 @@ def laplace_image(model: KernelModel, quantity: str):
     raise ValueError(f"no Laplace image for quantity {quantity!r}")
 
 
+def modulus(model: KernelModel, omega: float) -> complex:
+    """Complex modulus M(i omega) = m_inf - (m_inf - m_0) K(i omega), where
+    K is the model's kernel image normalized to K(0) = 1 (for Rabotnov the
+    eh kernel's tau^alpha is divided out).  Abel has no such normalization:
+    its image is (i omega tau)^(-alpha), and omega = 0 raises ValueError.
+    Negative omega is served by conjugate symmetry."""
+    if omega < 0.0:
+        return modulus(model, -omega).conjugate()
+    if model.m_inf is None:
+        raise ValueError("modulus needs m_inf and m_0 on the model")
+    if omega == 0.0:
+        if model.family == "Abel":
+            raise ValueError("Abel modulus diverges at omega = 0")
+        image = 1.0
+    else:
+        image = laplace_image(model, "kernel")(1j * omega)
+        if model.family == "Rabotnov":
+            image /= model.tau**model.alpha
+    return model.m_inf - (model.m_inf - model.m_0) * image
+
+
 def evaluate_model(
     model: KernelModel,
     quantity: str,
@@ -122,9 +145,7 @@ def _kernel(model, t, ctl, inversion):
     if model.family == "Abel":
         return abel_kernel(model.alpha, model.tau, t), "series"
     if model.family == "Rabotnov":
-        if model.alpha == 1.0:
-            return math.exp(-theta), "series"
-        if theta <= EH_SERIES_CROSSOVER:
+        if model.alpha == 1.0 or theta <= EH_SERIES_CROSSOVER:
             return eh_alpha(model.alpha, model.tau, t, ctl), "series"
         return eh_alpha_de(model.alpha, model.tau, t), "quadrature"
     if model.family == "RzhanitsynDavidson":
@@ -163,9 +184,7 @@ def _relaxation(model, t, ctl, inversion):
         # 1 - convolution with unity of the Abel kernel (unbounded decay)
         return 1.0 - theta**model.alpha / gamma(model.alpha + 1.0), "series"
     if model.family == "Rabotnov":
-        if model.alpha == 1.0:
-            return math.exp(-theta), "series"
-        if theta <= EH_SERIES_CROSSOVER:
+        if model.alpha == 1.0 or theta <= EH_SERIES_CROSSOVER:
             return rabotnov_relaxation(model.alpha, model.tau, t, ctl), "series"
         return i_alpha_de(model.alpha, theta), "quadrature"
     if model.family == "CHGF":
@@ -188,13 +207,19 @@ def spectrum_density(model: KernelModel, tau: float) -> tuple[float, str]:
     (Rzhanitsyn-Davidson, and Havriliak-Negami at alpha = 1) covers
     tau < model.tau only, and the CHGF cut tau > model.tau only: off it the
     density is exactly 0, and at the branch point tau = model.tau it is
-    infinite.
+    infinite.  Debye (alpha = beta = 1 in every family but Abel) has a
+    delta spectrum and raises DegenerateSpectrumError, as Rabotnov's closed
+    form does at alpha = 1.
     """
     if model.family == "Rabotnov":
         return rabotnov_spectrum_H(model.alpha, model.tau, tau), "series"
     if model.family == "Abel":
         b = model.alpha * math.pi
         return math.sin(b) / math.pi * (tau / model.tau) ** model.alpha, "series"
+    if model.alpha == model.beta == 1.0:
+        raise DegenerateSpectrumError(
+            f"{model.family} at alpha = 1 is Debye: its spectrum is a delta distribution"
+        )
     chgf = model.family == "CHGF"
     if (chgf or model.hn_params().alpha == 1.0) and tau > 0.0:
         if tau == model.tau:

@@ -103,9 +103,10 @@ class KernelModel:
     ``alpha`` is the family's own fractional shape parameter (for the
     Rzhanitsyn-Davidson family it plays the role the Havriliak-Negami
     ``beta`` plays); ``beta`` is meaningful for HavriliakNegami only and is
-    1 otherwise.  ``m_inf``/``m_0`` are carried for modulus evaluation and
-    may be omitted for pure kernel work; given, they come together with
-    m_inf >= m_0 > 0, as on :class:`HNParams`.
+    1 otherwise.  ``m_inf``/``m_0`` are the instantaneous and relaxed
+    moduli that ``evaluate.modulus`` reads, M(i omega) = m_inf -
+    (m_inf - m_0) K(i omega); they may be omitted for pure kernel work, and
+    given, they come together with m_inf >= m_0 > 0, as on :class:`HNParams`.
     """
 
     family: str
@@ -168,11 +169,14 @@ def rabotnov_relaxation(
         E_alpha(-theta^alpha) = sum_n (-1)^n theta^(alpha n) / gamma(alpha n + 1),
 
     theta = t/tau.  It equals 1 - tau^-alpha int_0^t eh(s) ds and the
-    spectral integral I_alpha(theta); 1 at t = 0, exp(-theta) at alpha = 1.
-    Valid for theta <= EH_SERIES_CROSSOVER, like :func:`eh_alpha`.
+    spectral integral I_alpha(theta); 1 at t = 0.  At alpha = 1 it is
+    exp(-theta), returned in closed form at every t; otherwise it is valid
+    for theta <= EH_SERIES_CROSSOVER, like :func:`eh_alpha`.
     """
     _check_shape(alpha, tau)
     _check_time(t)
+    if alpha == 1.0:
+        return math.exp(-t / tau)
     if t == 0.0:
         return 1.0
     theta = t / tau

@@ -45,14 +45,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and budget for adaptive quadrature; the singularity
-    exponent (when set) overrides the kernel's own alpha in the endpoint
-    substitutions."""
+    """Tolerances and budget for adaptive quadrature."""
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
     max_subdivisions: int = 200
-    endpoint_singularity_exponent: float | None = None
 
     def __post_init__(self) -> None:
         if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:

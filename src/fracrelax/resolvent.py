@@ -2,9 +2,10 @@
 
 Operators are represented by their transform symbols (functions of
 frequency), where every identity of interest is plain complex algebra:
-the three basic operators, resolvents 1/(shift + symbol), the splitting
-(Hilbert) identity, degree lowering, the modulus/compliance pair, and the
-Volterra resolvent ratio.
+the three basic operators, resolvents 1/(shift + symbol), degree lowering,
+the modulus/compliance pair, and the Volterra resolvent ratio.  The
+splitting (Hilbert) identity of the resolvents is checked by ``validate``
+(``splitting_condition``).
 
 Three parameterization variants are supported ("EH", "Q", "P"), each with
 its own redundant parameter relations; construction accepts any sufficient
@@ -19,10 +20,8 @@ from .errors import PoleError, SingularSymbolError
 
 __all__ = [
     "ResolventSpec",
-    "basic_operator_transform",
     "resolvent_transform",
     "modulus_compliance_transform",
-    "hilbert_identity_residual",
     "degree_lowering_residual",
     "volterra_resolvent_transform",
 ]
@@ -238,16 +237,6 @@ def basic_operator_symbol(spec: ResolventSpec, s: complex) -> complex:
     return 1.0 / bracket
 
 
-def basic_operator_transform(spec: ResolventSpec, omega: float) -> complex:
-    """Fourier symbol at angular frequency omega; negative omega is served
-    by conjugate symmetry (real time-domain kernels)."""
-    if omega < 0.0:
-        return basic_operator_transform(spec, -omega).conjugate()
-    if spec.variant == "P" and omega == 0.0:
-        raise ValueError("P-variant symbol is undefined at omega = 0 (1/(i omega) term)")
-    return basic_operator_symbol(spec, 1j * omega)
-
-
 def resolvent_symbol(spec: ResolventSpec, shift: float, s: complex) -> complex:
     den = shift + basic_operator_symbol(spec, s)
     if abs(den) < 1e-14:
@@ -280,24 +269,6 @@ def modulus_compliance_transform(
     modulus = m_inf * (1.0 - spec.kappa * r_lambda)
     compliance = (1.0 + spec.kappa * r_mu) / m_inf
     return modulus, compliance
-
-
-def hilbert_identity_residual(
-    spec: ResolventSpec, lambda1: float, lambda2: float, omegas
-) -> float:
-    """Max over the frequency grid of |R(l1) R(l2) - [R(l1) - R(l2)]/(l2 - l1)|.
-
-    The identity is exact in symbols, so the residual is rounding-level.
-    """
-    if lambda1 == lambda2:
-        raise ValueError("degenerate shifts: lambda1 == lambda2")
-    worst = 0.0
-    for omega in omegas:
-        r1 = resolvent_transform(spec, lambda1, omega)
-        r2 = resolvent_transform(spec, lambda2, omega)
-        residual = abs(r1 * r2 - (r1 - r2) / (lambda2 - lambda1))
-        worst = max(worst, residual)
-    return worst
 
 
 def degree_lowering_residual(

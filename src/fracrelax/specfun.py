@@ -312,9 +312,10 @@ def eh_alpha(alpha: float, tau: float, t: float, ctl: SeriesControl = DEFAULT_CO
     """Fractional-exponential relaxation kernel, series route.
 
     eh(t) = t^(alpha-1) * sum_n (-1)^n (t/tau)^(alpha n) / gamma(alpha (n+1)),
-    units 1/time^(1-alpha).  At alpha = 1 this is exp(-t/tau).  Valid for
-    t/tau <= EH_SERIES_CROSSOVER; larger arguments must use the integral
-    representation in the quadrature module.
+    units 1/time^(1-alpha).  At alpha = 1 this is exp(-t/tau), returned in
+    closed form at every t.  Otherwise valid for t/tau <= EH_SERIES_CROSSOVER;
+    larger arguments must use the integral representation in the quadrature
+    module.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
@@ -322,8 +323,10 @@ def eh_alpha(alpha: float, tau: float, t: float, ctl: SeriesControl = DEFAULT_CO
         raise ValueError(f"tau must be > 0, got {tau}")
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
+    if alpha == 1.0:
+        return math.exp(-t / tau)
     if t == 0.0:
-        return 1.0 if alpha == 1.0 else math.inf
+        return math.inf
     return t ** (alpha - 1.0) * eh_alpha_regular(alpha, tau, t, ctl)
 
 

@@ -1,14 +1,11 @@
-"""Frequency-domain dispersion formulas and relaxation-time spectra.
+"""Laplace images of the kernel families and relaxation-time spectra.
 
-The three complex-compliance image forms of the simple hereditary solid,
-the Rabotnov and confluent-hypergeometric moduli, the Havriliak-Negami
-four-parameter dispersion, the closed-form log-symmetric spectrum H(tau)
-of the Rabotnov family, and a generic numeric spectrum extracted from any
-transform image by evaluation just below the negative real axis.
-
-Each formula mirrors its own printed source form; in particular the
-confluent-hypergeometric modulus keeps its (compliance-like) limit
-structure M(0) = m_inf, M(inf) = m_0 rather than being relabeled.
+The images of the Abel, Rabotnov, Rzhanitsyn (Davidson-Cole),
+confluent-hypergeometric and Havriliak-Negami kernels, the closed-form
+log-symmetric spectrum H(tau) of the Rabotnov family, and a generic numeric
+spectrum extracted from any transform image by evaluation just below the
+negative real axis.  Every dispersion relation is one of these images in
+``evaluate.modulus``.
 """
 
 from __future__ import annotations
@@ -19,13 +16,6 @@ from .errors import DegenerateSpectrumError
 from .kernels import HNParams
 
 __all__ = [
-    "ComplianceImageForm",
-    "compliance_image",
-    "rabotnov_modulus",
-    "rabotnov_compliance",
-    "chgf_modulus",
-    "hn_modulus",
-    "hn_normalized",
     "hn_normalized_image",
     "rabotnov_image",
     "abel_image",
@@ -36,129 +26,15 @@ __all__ = [
     "numeric_spectrum",
 ]
 
-from dataclasses import dataclass
-
-_FORMS = ("AbelForm", "RzhDavForm", "CHGFForm")
-
 # Offset used to pin complex powers to the branch approached from below the
 # negative real axis (Im -> 0^-); only the sign matters.
 _BELOW_CUT = 1e-300
-
-
-@dataclass(frozen=True)
-class ComplianceImageForm:
-    """One of the three printed complex-compliance forms with its derived
-    coupling constant (kappa', kappa'' or kappa''') and m = J_inf/J_0."""
-
-    form: str
-    alpha: float
-    tau: float
-    j_inf: float
-    j_0: float
-
-    def __post_init__(self) -> None:
-        if self.form not in _FORMS:
-            raise ValueError(f"form must be one of {_FORMS}, got {self.form!r}")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
-        if self.tau <= 0.0:
-            raise ValueError(f"tau must be > 0, got {self.tau}")
-        if not self.j_0 > self.j_inf > 0.0:
-            raise ValueError("need J_0 > J_inf > 0 (relaxed exceeds non-relaxed)")
-
-    @property
-    def delta_j(self) -> float:
-        return self.j_0 - self.j_inf
-
-    @property
-    def m(self) -> float:
-        return self.j_inf / self.j_0
-
-    @property
-    def kappa(self) -> float:
-        """Coupling constant of the bracketed resolvent term: tau^-alpha for
-        the Abel form, (1/m - 1) tau^-alpha for the Rzhanitsyn-Davidson form,
-        (1/m - 1) tau^+alpha for the CHGF form."""
-        if self.form == "AbelForm":
-            return self.tau**-self.alpha
-        if self.form == "RzhDavForm":
-            return (1.0 / self.m - 1.0) * self.tau**-self.alpha
-        return (1.0 / self.m - 1.0) * self.tau**self.alpha
-
-
-def compliance_image(f: ComplianceImageForm, omega: float) -> complex:
-    """Complex compliance J(i omega) of the chosen form.
-
-    AbelForm:   J_inf + J_inf (i omega tau)^(-alpha)       (omega > 0)
-    RzhDavForm: J_inf + dJ (1 + i omega tau)^(-alpha)
-    CHGFForm:   J_0 - dJ (1 + 1/(i omega tau))^(-alpha)    (omega > 0)
-    """
-    if omega < 0.0:
-        return compliance_image(f, -omega).conjugate()
-    s = 1j * omega
-    if f.form == "AbelForm":
-        if omega == 0.0:
-            raise ValueError("Abel compliance diverges at omega = 0")
-        return f.j_inf + f.j_inf * (s * f.tau) ** -f.alpha
-    if f.form == "RzhDavForm":
-        return f.j_inf + f.delta_j * (1.0 + s * f.tau) ** -f.alpha
-    if omega == 0.0:
-        raise ValueError("CHGF compliance form is undefined at omega = 0 (limit is J_0)")
-    return f.j_0 - f.delta_j * (1.0 + 1.0 / (s * f.tau)) ** -f.alpha
-
-
-def rabotnov_modulus(
-    m_inf: float, d_m: float, alpha: float, tau_eps: float, omega: float
-) -> complex:
-    """M(i omega) = M_inf - dM / (1 + (i omega tau_eps)^alpha)."""
-    if omega < 0.0:
-        return rabotnov_modulus(m_inf, d_m, alpha, tau_eps, -omega).conjugate()
-    return m_inf - d_m / (1.0 + (1j * omega * tau_eps) ** alpha)
-
-
-def rabotnov_compliance(
-    j_inf: float, d_j: float, alpha: float, tau_sigma: float, omega: float
-) -> complex:
-    """J(i omega) = J_inf - dJ / (1 + (i omega tau_sigma)^alpha).
-
-    Note the printed sign: with d_j = J_inf - J_0 (negative for a creeping
-    solid) the zero-frequency limit is the relaxed compliance J_0.
-    """
-    if omega < 0.0:
-        return rabotnov_compliance(j_inf, d_j, alpha, tau_sigma, -omega).conjugate()
-    return j_inf - d_j / (1.0 + (1j * omega * tau_sigma) ** alpha)
-
-
-def chgf_modulus(
-    m_0: float, m_inf: float, alpha: float, tau_eps: float, omega: float
-) -> complex:
-    """M(i omega) = M_0 + (M_inf - M_0)(1 + i omega tau_eps)^(-alpha).
-
-    As printed, the omega -> 0 limit is M_inf and the omega -> inf limit is
-    M_0 (the labels play compliance-like roles; kept verbatim).
-    """
-    if omega < 0.0:
-        return chgf_modulus(m_0, m_inf, alpha, tau_eps, -omega).conjugate()
-    return m_0 + (m_inf - m_0) * (1.0 + 1j * omega * tau_eps) ** -alpha
 
 
 def hn_normalized_image(p: HNParams, s: complex) -> complex:
     """Normalized relaxing part 1 / [1 + (s tau0)^alpha]^beta at Laplace
     variable s (the Laplace image of the HN relaxation kernel)."""
     return (1.0 + (s * p.tau0) ** p.alpha) ** -p.beta
-
-
-def hn_normalized(p: HNParams, omega: float) -> complex:
-    """m(j omega) = 1 / [1 + (j omega tau0)^alpha]^beta; 1 at omega = 0,
-    0 as omega -> inf."""
-    if omega < 0.0:
-        return hn_normalized(p, -omega).conjugate()
-    return hn_normalized_image(p, 1j * omega)
-
-
-def hn_modulus(p: HNParams, omega: float) -> complex:
-    """M(j omega) = M_inf - dM * m(j omega) (four-parameter dispersion)."""
-    return p.m_inf - p.delta_m * hn_normalized(p, omega)
 
 
 def rabotnov_image(alpha: float, tau: float, s: complex) -> complex:

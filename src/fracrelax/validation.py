@@ -12,8 +12,10 @@ from __future__ import annotations
 import math
 
 from . import quadrature as qd
+from .evaluate import laplace_image, modulus
 from .kernels import (
     HNParams,
+    KernelModel,
     abel_kernel,
     chgf_kernel_R,
     chgf_relaxation_S,
@@ -27,13 +29,7 @@ from .kernels import (
 from .laplace import talbot
 from .resolvent import ResolventSpec, modulus_compliance_transform, resolvent_transform
 from .specfun import eh_alpha, gamma, gauss_2f1_11, kummer_1f1
-from .spectra import (
-    hn_normalized,
-    hn_normalized_image,
-    rabotnov_modulus,
-    rabotnov_spectrum_H,
-    rabotnov_spectrum_L,
-)
+from .spectra import hn_normalized_image, rabotnov_spectrum_H, rabotnov_spectrum_L
 from .suvorova import SuvorovaModel, suvorova_convolution, suvorova_stress_series
 from .vanin import VaninDistribution, vanin_moment
 
@@ -317,14 +313,16 @@ def check_spectrum_shift() -> tuple[float, float]:
 
 
 def check_hn_reduction() -> tuple[float, float]:
+    # HN at beta = 1 is Rabotnov (Cole-Cole), at alpha = beta = 1 Debye
     worst = 0.0
-    p = HNParams(0.61, 1.0, 1.3, m_inf=2.0, m_0=1.0)
+    hn = KernelModel("HavriliakNegami", 0.61, 1.3, 1.0, m_inf=2.0, m_0=1.0)
+    rabotnov = KernelModel("Rabotnov", 0.61, 1.3, m_inf=2.0, m_0=1.0)
+    debye = laplace_image(KernelModel("HavriliakNegami", 1.0, 1.0), "kernel")
     for omega in _log_grid(1e-3, 1e3, 50):
-        a = p.m_inf - p.delta_m * hn_normalized(p, omega)
-        b = rabotnov_modulus(p.m_inf, p.delta_m, p.alpha, p.tau0, omega)
+        a = modulus(hn, omega)
+        b = modulus(rabotnov, omega)
         worst = max(worst, abs(a - b) / abs(b))
-        debye = hn_normalized(HNParams(1.0, 1.0, 1.0), omega)
-        worst = max(worst, abs(debye - 1.0 / (1.0 + 1j * omega)))
+        worst = max(worst, abs(debye(1j * omega) - 1.0 / (1.0 + 1j * omega)))
     return worst, 1e-14
 
 
@@ -332,9 +330,9 @@ def check_loss_nonnegative() -> tuple[float, float]:
     worst = -math.inf
     for alpha in (0.3, 0.61, 1.0):
         for beta in (0.4, 0.8, 1.0):
-            p = HNParams(alpha, beta, 1.0)
+            image = laplace_image(KernelModel("HavriliakNegami", alpha, 1.0, beta), "kernel")
             for omega in _log_grid(1e-4, 1e4, 60):
-                worst = max(worst, hn_normalized(p, omega).imag)
+                worst = max(worst, image(1j * omega).imag)
     return max(worst, 0.0), 1e-15
 
 

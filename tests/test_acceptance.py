@@ -35,8 +35,8 @@ from fracrelax.quadrature import (
 from fracrelax.resolvent import (
     ResolventSpec,
     degree_lowering_residual,
-    hilbert_identity_residual,
     modulus_compliance_transform,
+    resolvent_transform,
     volterra_resolvent_transform,
 )
 from fracrelax.specfun import eh_alpha, gauss_2f1_11, kummer_1f1
@@ -153,9 +153,10 @@ def test_criterion_3_operator_algebra():
         for spec in _specs_for_variant(variant, 20, seed):
             l1 = 0.5 * spec.lambda_ + 0.1
             l2 = 1.5 * spec.lambda_ + 0.3
-            worst_hilbert = max(
-                worst_hilbert, hilbert_identity_residual(spec, l1, l2, omegas)
-            )
+            for omega in omegas:
+                r1 = resolvent_transform(spec, l1, omega)
+                r2 = resolvent_transform(spec, l2, omega)
+                worst_hilbert = max(worst_hilbert, abs(r1 * r2 - (r1 - r2) / (l2 - l1)))
             for omega in (0.3, 3.0):
                 worst_degree = max(
                     worst_degree, degree_lowering_residual(spec, l1, omega)

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from fracrelax.cli import main
-from fracrelax.kernels import KERNEL_FAMILIES, HNParams
-from fracrelax.spectra import hn_modulus
+from fracrelax.evaluate import modulus
+from fracrelax.kernels import KERNEL_FAMILIES, KernelModel
 
 DEBYE = '{"family":"HavriliakNegami","alpha":1.0,"beta":1.0,"tau":1.0}'
 RABOTNOV = '{"family":"Rabotnov","alpha":0.5,"tau":1.0}'
@@ -187,6 +187,11 @@ class TestSpectrumCommand:
         values = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
         assert all(v >= 0.0 for v in values)
 
+    def test_debye_exits_3(self, tmp_path):
+        # the delta spectrum is a named error, not a density of 3e-301
+        out = tmp_path / "s.csv"
+        assert main(["spectrum", "--model", DEBYE, "--grid", "0.1:10:3:log", "--out", str(out)]) == 3
+
     @pytest.mark.parametrize(
         "model, zero_side",
         [('{"family":"RzhanitsynDavidson","alpha":0.6,"tau":1.0}', 2),
@@ -207,12 +212,12 @@ class TestSpectrumCommand:
 
 
 def write_fit_data(path, noise=0.0, seed=None):
-    p = HNParams(0.61, 1.0, 1.0, m_inf=2.0, m_0=1.0)
+    model = KernelModel("HavriliakNegami", 0.61, 1.0, 1.0, m_inf=2.0, m_0=1.0)
     omega = np.logspace(-3, 3, 50)
     rows = ["omega,re,im"]
     rng = np.random.default_rng(seed)
     for w in omega:
-        m = hn_modulus(p, float(w))
+        m = modulus(model, float(w))
         if noise:
             m += noise * abs(m) * complex(rng.standard_normal(), rng.standard_normal())
         rows.append(f"{float(w)!r},{m.real!r},{m.imag!r}")
@@ -361,11 +366,12 @@ class TestImportContract:
 FIRST_CALLS = """
 import numpy as np
 from fracrelax.fitting import fit_hn
-from fracrelax.kernels import HNParams
+from fracrelax.evaluate import modulus
+from fracrelax.kernels import KernelModel
 from fracrelax.quadrature import eh_alpha_integral, i_alpha
-from fracrelax.spectra import hn_modulus
+model = KernelModel("HavriliakNegami", 0.6, 1.0, 0.8, m_inf=2.0, m_0=1.0)
 omega = np.logspace(-2, 2, 16)
-samples = [hn_modulus(HNParams(0.6, 0.8, 1.0, m_inf=2.0, m_0=1.0), float(w)) for w in omega]
+samples = [modulus(model, float(w)) for w in omega]
 values = [i_alpha(0.5, 20.0), eh_alpha_integral(0.5, 1.0, 20.0)]
 p = fit_hn(omega, samples).params
 values += [p.alpha, p.beta, p.tau0, p.m_inf, p.m_0]

@@ -22,8 +22,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from fracrelax import KernelModel, evaluate_model
-from fracrelax.errors import NoResolventError, NonConvergenceError
+from fracrelax import KernelModel, evaluate_model, modulus, rabotnov_relaxation, spectrum_density
+from fracrelax.errors import DegenerateSpectrumError, NoResolventError, NonConvergenceError
+from fracrelax.specfun import eh_alpha
 
 # Two precisions must agree to this before a reference is used.
 _AGREE = 1e-12
@@ -76,6 +77,37 @@ def test_debye_has_no_resolvent():
         for t in (0.0, 0.5, 5.0, 10.0, 100.0):
             with pytest.raises(NoResolventError):
                 evaluate_model(model, "resolvent", t)
+
+
+def test_debye_spectrum_is_degenerate():
+    # a delta spectrum in every family but Abel; it printed about 3e-301
+    for model in (
+        KernelModel("HavriliakNegami", 1.0, 1.0, 1.0),
+        KernelModel("RzhanitsynDavidson", 1.0, 1.0),
+        KernelModel("CHGF", 1.0, 1.0),
+    ):
+        for tau in (0.5, 1.0, 2.0):
+            with pytest.raises(DegenerateSpectrumError):
+                spectrum_density(model, tau)
+
+
+def test_rabotnov_alpha_one_is_exponential():
+    # exp(-theta) in closed form at every t; the Mittag-Leffler series was
+    # 2.8e-8 off at theta = 10
+    for theta in (0.5, 5.0, 10.0, 50.0):
+        assert eh_alpha(1.0, 1.0, theta) == pytest.approx(math.exp(-theta), rel=1e-14)
+        assert rabotnov_relaxation(1.0, 1.0, theta) == pytest.approx(math.exp(-theta), rel=1e-14)
+    model = KernelModel("Rabotnov", 1.0, 2.0)
+    for quantity in ("kernel", "relaxation"):
+        for t in (1.0, 20.0, 200.0):
+            assert evaluate_model(model, quantity, t) == (math.exp(-t / 2.0), "series")
+
+
+def test_modulus_symmetry_and_moduli():
+    model = KernelModel("HavriliakNegami", 0.6, 1.0, 0.8, m_inf=2.0, m_0=1.0)
+    assert modulus(model, -3.0) == modulus(model, 3.0).conjugate()
+    with pytest.raises(ValueError, match="m_inf and m_0"):
+        modulus(KernelModel("CHGF", 0.6, 1.0), 1.0)
 
 
 def test_reductions_stay_on_series_route():

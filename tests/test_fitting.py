@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 
 from fracrelax.fitting import fit_hn, initial_guess
-from fracrelax.kernels import HNParams
-from fracrelax.spectra import hn_modulus
+from fracrelax.evaluate import modulus
+from fracrelax.kernels import HNParams, KernelModel
 
 
 def synthetic(params: HNParams, n=50, noise=0.0, seed=None):
     """Log-spaced samples with per-channel relative Gaussian noise (each of
     Re/Im measured to the stated fraction of its own magnitude)."""
+    model = KernelModel(
+        "HavriliakNegami", params.alpha, params.tau0, params.beta, params.m_inf, params.m_0
+    )
     omega = np.logspace(-3, 3, n)
-    data = np.array([hn_modulus(params, float(w)) for w in omega])
+    data = np.array([modulus(model, float(w)) for w in omega])
     if noise > 0.0:
         rng = np.random.default_rng(seed)
         re = data.real * (1.0 + noise * rng.standard_normal(n))

@@ -9,9 +9,7 @@ from fracrelax.laplace import talbot
 from fracrelax.resolvent import (
     ResolventSpec,
     basic_operator_symbol,
-    basic_operator_transform,
     degree_lowering_residual,
-    hilbert_identity_residual,
     modulus_compliance_transform,
     resolvent_symbol,
     resolvent_transform,
@@ -81,27 +79,27 @@ class TestConstruction:
 class TestBasicOperators:
     def test_eh_symbol(self):
         spec = ResolventSpec.eh(0.5, tau_eps=1.0, m=0.5)
-        value = basic_operator_transform(spec, 1.0)
+        value = basic_operator_symbol(spec, 1j)
         assert value == pytest.approx(complex(math.sqrt(0.5), math.sqrt(0.5)), rel=1e-14)
 
     def test_q_symbol(self):
         spec = ResolventSpec.q(1.0, 1.0, n_eps=1.0, n_sigma=0.5)
-        assert basic_operator_transform(spec, 1.0) == pytest.approx(1.0 + 1.0j, rel=1e-14)
+        assert basic_operator_symbol(spec, 1j) == pytest.approx(1.0 + 1.0j, rel=1e-14)
 
     def test_p_symbol_direct_complex(self):
         spec = ResolventSpec.p(0.5, 1.0, n_eps=1.0, n_sigma=0.5)
         expected = 1.0 / (1.0 - (1.0 + 1.0 / 2.0j) ** -0.5)
-        assert basic_operator_transform(spec, 2.0) == pytest.approx(expected, rel=1e-14)
+        assert basic_operator_symbol(spec, 2j) == pytest.approx(expected, rel=1e-14)
 
     def test_p_rejects_zero_frequency(self):
         spec = ResolventSpec.p(0.5, 1.0, n_eps=1.0, n_sigma=0.5)
         with pytest.raises(ValueError):
-            basic_operator_transform(spec, 0.0)
+            resolvent_transform(spec, spec.lambda_, 0.0)
 
     def test_conjugate_symmetry(self):
         spec = ResolventSpec.eh(0.61, tau_eps=1.3, m=0.4)
-        assert basic_operator_transform(spec, -2.0) == pytest.approx(
-            basic_operator_transform(spec, 2.0).conjugate(), rel=1e-15
+        assert basic_operator_symbol(spec, -2j) == pytest.approx(
+            basic_operator_symbol(spec, 2j).conjugate(), rel=1e-15
         )
 
 
@@ -158,24 +156,30 @@ class TestResolvent:
             assert inverted == pytest.approx(p_kernel(0.5, 0.5, 1.3, t), rel=1e-7)
 
 
+def hilbert_residual(spec, lambda1, lambda2, omegas):
+    """Max over omegas of |R(l1) R(l2) - [R(l1) - R(l2)]/(l2 - l1)|; the
+    identity is exact in symbols, so the residual is rounding-level."""
+    worst = 0.0
+    for omega in omegas:
+        r1 = resolvent_transform(spec, lambda1, omega)
+        r2 = resolvent_transform(spec, lambda2, omega)
+        worst = max(worst, abs(r1 * r2 - (r1 - r2) / (lambda2 - lambda1)))
+    return worst
+
+
 class TestIdentities:
     def test_hilbert_identity_grid(self):
         omegas = [0.1 * 1.4**k for k in range(20)]
         spec = ResolventSpec.eh(1.0, tau_eps=1.0, m=0.5)
-        assert hilbert_identity_residual(spec, 1.0, 2.0, omegas) <= 1e-14
+        assert hilbert_residual(spec, 1.0, 2.0, omegas) <= 1e-14
 
     def test_hilbert_identity_random_specs(self):
         omegas = [1e-3 * (1e6) ** (k / 99) for k in range(100)]
         for spec in random_specs(20):
-            residual = hilbert_identity_residual(
+            residual = hilbert_residual(
                 spec, 0.5 * spec.lambda_ + 0.1, 1.5 * spec.lambda_ + 0.3, omegas
             )
             assert residual <= 1e-12
-
-    def test_hilbert_degenerate_shift(self):
-        spec = ResolventSpec.eh(0.5, tau_eps=1.0, m=0.5)
-        with pytest.raises(ValueError):
-            hilbert_identity_residual(spec, 1.0, 1.0, [1.0])
 
     def test_degree_lowering(self):
         spec = ResolventSpec.eh(1.0, tau_eps=1.0, m=0.5)

@@ -1,5 +1,5 @@
-import cmath
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -7,131 +7,133 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from fracrelax.errors import DegenerateSpectrumError
-from fracrelax.kernels import HNParams
+from fracrelax.evaluate import modulus
+from fracrelax.kernels import HNParams, KernelModel
 from fracrelax.spectra import (
-    ComplianceImageForm,
-    abel_image,
     chgf_kernel_image,
-    chgf_modulus,
-    compliance_image,
-    hn_modulus,
-    hn_normalized,
     hn_normalized_image,
     numeric_spectrum,
-    rabotnov_compliance,
-    rabotnov_modulus,
     rabotnov_spectrum_H,
     rabotnov_spectrum_L,
     rzhanitsyn_image,
 )
 
 
+def compliance(model, j_inf, j_0, omega):
+    """The printed compliance forms are J(i omega) = J_inf + dJ K(i omega):
+    the modulus formula with its two limits swapped (J_0 > J_inf)."""
+    return j_inf + j_0 - modulus(replace(model, m_inf=j_0, m_0=j_inf), omega)
+
+
 class TestComplianceImages:
-    def form(self, name):
-        return ComplianceImageForm(form=name, alpha=0.5, tau=1.0, j_inf=1.0, j_0=2.0)
+    def model(self, family):
+        return KernelModel(family, 0.5, 1.0)
 
     def test_rzhdav_high_frequency(self):
-        f = self.form("RzhDavForm")
-        assert compliance_image(f, 1e12) == pytest.approx(f.j_inf, rel=1e-5)
+        assert compliance(self.model("RzhanitsynDavidson"), 1.0, 2.0, 1e12) == pytest.approx(
+            1.0, rel=1e-5
+        )
 
     def test_rzhdav_low_frequency(self):
-        f = self.form("RzhDavForm")
-        assert compliance_image(f, 0.0) == pytest.approx(f.j_0, rel=1e-14)
+        assert compliance(self.model("RzhanitsynDavidson"), 1.0, 2.0, 0.0) == pytest.approx(
+            2.0, rel=1e-14
+        )
 
     def test_chgf_low_frequency_limit(self):
-        f = self.form("CHGFForm")
-        assert compliance_image(f, 1e-12) == pytest.approx(f.j_0, rel=1e-5)
+        assert compliance(self.model("CHGF"), 1.0, 2.0, 1e-12) == pytest.approx(2.0, rel=1e-5)
 
     def test_chgf_high_frequency(self):
-        f = self.form("CHGFForm")
-        assert compliance_image(f, 1e12) == pytest.approx(f.j_inf, rel=1e-5)
+        assert compliance(self.model("CHGF"), 1.0, 2.0, 1e12) == pytest.approx(1.0, rel=1e-5)
 
     def test_abel_value(self):
-        f = self.form("AbelForm")
+        # the Abel form is coupled by J_inf, which is dJ when J_0 = 2 J_inf
         expected = 1.0 + (1j) ** -0.5
-        assert compliance_image(f, 1.0) == pytest.approx(expected, rel=1e-14)
+        assert compliance(self.model("Abel"), 1.0, 2.0, 1.0) == pytest.approx(
+            expected, rel=1e-14
+        )
 
     def test_abel_singular_at_zero(self):
         with pytest.raises(ValueError):
-            compliance_image(self.form("AbelForm"), 0.0)
-        with pytest.raises(ValueError):
-            compliance_image(self.form("CHGFForm"), 0.0)
-
-    def test_kappa_constants(self):
-        assert self.form("AbelForm").kappa == pytest.approx(1.0)
-        assert self.form("RzhDavForm").kappa == pytest.approx(1.0)  # (1/m-1) tau^-a, m=1/2
-        assert self.form("CHGFForm").kappa == pytest.approx(1.0)
-
-    def test_invariants(self):
-        with pytest.raises(ValueError):
-            ComplianceImageForm(form="AbelForm", alpha=0.5, tau=1.0, j_inf=2.0, j_0=1.0)
+            modulus(KernelModel("Abel", 0.5, 1.0, m_inf=2.0, m_0=1.0), 0.0)
 
 
 class TestRabotnovModulus:
     def test_endpoints(self):
-        m = rabotnov_modulus(2.0, 1.0, 0.61, 1.0, 0.0)
-        assert m == pytest.approx(1.0, rel=1e-14)  # M0 = M_inf - dM
-        m = rabotnov_modulus(2.0, 1.0, 0.61, 1.0, 1e14)
-        assert m == pytest.approx(2.0, rel=1e-5)
+        model = KernelModel("Rabotnov", 0.61, 1.0, m_inf=2.0, m_0=1.0)
+        assert modulus(model, 0.0) == pytest.approx(1.0, rel=1e-14)  # M0 = M_inf - dM
+        assert modulus(model, 1e14) == pytest.approx(2.0, rel=1e-5)
 
     def test_endpoint_reciprocity_with_derived_tau_sigma(self):
         m_inf, m_0, alpha, tau_eps = 2.0, 1.0, 0.61, 1.0
         m_ratio = m_0 / m_inf
         tau_sigma = tau_eps / m_ratio ** (1.0 / alpha)
-        j_inf, d_j = 1.0 / m_inf, 1.0 / m_inf - 1.0 / m_0
         for omega in (0.0, 1e14):
-            mv = rabotnov_modulus(m_inf, m_inf - m_0, alpha, tau_eps, omega)
-            jv = rabotnov_compliance(j_inf, d_j, alpha, tau_sigma, omega)
+            mv = modulus(KernelModel("Rabotnov", alpha, tau_eps, m_inf=m_inf, m_0=m_0), omega)
+            jv = compliance(KernelModel("Rabotnov", alpha, tau_sigma), 1.0 / m_inf, 1.0 / m_0, omega)
             assert mv * jv == pytest.approx(1.0, rel=1e-5)
 
     def test_hn_reduction(self):
-        p = HNParams(0.61, 1.0, 1.0, m_inf=2.0, m_0=1.0)
+        hn = KernelModel("HavriliakNegami", 0.61, 1.0, 1.0, m_inf=2.0, m_0=1.0)
+        rabotnov = KernelModel("Rabotnov", 0.61, 1.0, m_inf=2.0, m_0=1.0)
         for omega in (0.1, 1.0, 10.0):
-            assert hn_modulus(p, omega) == pytest.approx(
-                rabotnov_modulus(2.0, 1.0, 0.61, 1.0, omega), rel=1e-14
-            )
+            assert modulus(hn, omega) == pytest.approx(modulus(rabotnov, omega), rel=1e-14)
 
 
 class TestChgfModulus:
     def test_printed_limits(self):
-        # as printed: omega -> 0 gives m_inf, omega -> inf gives m_0
-        assert chgf_modulus(1.0, 2.0, 0.61, 1.0, 0.0) == pytest.approx(2.0, rel=1e-14)
-        assert chgf_modulus(1.0, 2.0, 0.61, 1.0, 1e14) == pytest.approx(1.0, rel=1e-5)
+        # the printed CHGF "modulus" M_0 + (M_inf - M_0)(1 + i omega tau)^(-alpha)
+        # is the Rzhanitsyn-Davidson form with its labels swapped: omega -> 0
+        # gives m_inf, omega -> inf gives m_0
+        rd = KernelModel("RzhanitsynDavidson", 0.61, 1.0)
+        assert compliance(rd, 1.0, 2.0, 0.0) == pytest.approx(2.0, rel=1e-14)
+        assert compliance(rd, 1.0, 2.0, 1e14) == pytest.approx(1.0, rel=1e-5)
+        # the modulus of the CHGF kernel itself relaxes from m_inf to m_0
+        chgf = KernelModel("CHGF", 0.61, 1.0, m_inf=2.0, m_0=1.0)
+        assert modulus(chgf, 0.0) == 1.0
+        assert modulus(chgf, 1e14) == pytest.approx(2.0, rel=1e-5)
 
     def test_alpha_one_value(self):
-        assert chgf_modulus(1.0, 2.0, 1.0, 1.0, 1.0) == pytest.approx(
-            1.0 + 1.0 / (1.0 + 1j), rel=1e-14
-        )
+        rd = KernelModel("RzhanitsynDavidson", 1.0, 1.0)
+        assert compliance(rd, 1.0, 2.0, 1.0) == pytest.approx(1.0 + 1.0 / (1.0 + 1j), rel=1e-14)
+        chgf = KernelModel("CHGF", 1.0, 1.0, m_inf=2.0, m_0=1.0)
+        assert modulus(chgf, 1.0) == pytest.approx(2.0 - 1.0 / (1.0 + 1j), rel=1e-14)
+
+
+def hn_model(alpha, beta, tau):
+    return KernelModel("HavriliakNegami", alpha, tau, beta, m_inf=2.0, m_0=1.0)
 
 
 class TestHNModulus:
+    # with m_inf = 2 and m_0 = 1 the modulus is 2 - m(i omega), m the
+    # normalized relaxing part 1 / [1 + (i omega tau0)^alpha]^beta
     def test_debye_point(self):
-        p = HNParams(1.0, 1.0, 1.0)
-        assert hn_normalized(p, 1.0) == pytest.approx(0.5 - 0.5j, rel=1e-14)
+        assert modulus(hn_model(1.0, 1.0, 1.0), 1.0) == pytest.approx(1.5 + 0.5j, rel=1e-14)
 
     def test_limits(self):
-        p = HNParams(0.61, 0.8, 1.0)
-        assert hn_normalized(p, 0.0) == pytest.approx(1.0, rel=1e-14)
-        assert abs(hn_normalized(p, 1e15)) < 1e-6
+        model = hn_model(0.61, 0.8, 1.0)
+        assert modulus(model, 0.0) == pytest.approx(1.0, rel=1e-14)
+        assert abs(modulus(model, 1e15) - 2.0) < 1e-6
 
     def test_cole_cole_point_against_direct_arithmetic(self):
-        p = HNParams(0.5, 1.0, 1.0)
-        assert hn_normalized(p, 1.0) == pytest.approx(1.0 / (1.0 + (1j) ** 0.5), rel=1e-14)
+        assert modulus(hn_model(0.5, 1.0, 1.0), 1.0) == pytest.approx(
+            2.0 - 1.0 / (1.0 + (1j) ** 0.5), rel=1e-14
+        )
 
     def test_davidson_cole_reduction(self):
-        p = HNParams(1.0, 0.7, 1.3)
+        model = hn_model(1.0, 0.7, 1.3)
         for omega in (0.3, 3.0):
-            assert hn_normalized(p, omega) == pytest.approx(
-                (1.0 + 1j * omega * 1.3) ** -0.7, rel=1e-14
+            assert modulus(model, omega) == pytest.approx(
+                2.0 - (1.0 + 1j * omega * 1.3) ** -0.7, rel=1e-14
             )
 
     def test_loss_nonpositive_imag(self):
+        # Im m <= 0, so the loss modulus Im M = -dM Im m is >= 0
         for alpha in (0.3, 0.61, 1.0):
             for beta in (0.4, 1.0):
-                p = HNParams(alpha, beta, 1.0)
+                model = hn_model(alpha, beta, 1.0)
                 for k in range(40):
                     omega = 1e-3 * (1e6) ** (k / 39)
-                    assert hn_normalized(p, omega).imag <= 1e-15
+                    assert modulus(model, omega).imag >= -1e-15
 
 
 class TestRabotnovSpectrum:
