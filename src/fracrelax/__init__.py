@@ -7,7 +7,6 @@ quadrature / inverse-Laplace routes that cross-verify every series.
 """
 
 from .errors import (
-    BranchDegeneracyError,
     ContourError,
     DegenerateSpectrumError,
     EvaluationError,
@@ -102,7 +101,6 @@ __all__ = [
     "EvaluationError",
     "NonConvergenceError",
     "PoleError",
-    "BranchDegeneracyError",
     "NoResolventError",
     "SingularSymbolError",
     "DegenerateSpectrumError",

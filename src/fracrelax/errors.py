@@ -13,11 +13,6 @@ class PoleError(ValueError):
     """Evaluation requested exactly at a pole of the function."""
 
 
-class BranchDegeneracyError(ValueError):
-    """Series parameterization sits on the |q| = 1 boundary where neither
-    expansion converges."""
-
-
 class NoResolventError(EvaluationError):
     """The requested parameter combination has no creep resolvent."""
 

@@ -7,10 +7,12 @@ Havriliak-Negami relaxation kernel R(t), creep resolvent K(t) and
 relaxation function.
 
 The Rabotnov relaxation and the HN kernel, relaxation function and creep
-resolvent terms are calls of ``specfun.prabhakar_series``.  All series are
-evaluated in fixed summation order with compensated accumulation, so
-results are bitwise reproducible regardless of how a caller partitions
-grid evaluations.
+resolvent terms are calls of ``specfun.prabhakar_series``.  Shermergor's
+P_alpha kernel and p_nu step response are branch-cut integrals on the fixed
+nodes of ``quadrature.cut_de`` plus a pole residue; their time-domain
+series stay as private references.  All series are evaluated in fixed
+summation order with compensated accumulation, so results are bitwise
+reproducible regardless of how a caller partitions grid evaluations.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BranchDegeneracyError, NoResolventError, NonConvergenceError
+from .errors import NoResolventError, NonConvergenceError
+from .quadrature import cut_de
 from .specfun import (
     DEFAULT_CONTROL,
     EH_SERIES_CROSSOVER,
@@ -56,6 +59,7 @@ HN_SERIES_CROSSOVER = 5.0
 # before the series route gives up (see hn_creep_resolvent_series).
 _RESOLVENT_NOISE_LIMIT = 1e-6
 _EPS = 2.0**-52
+_LN_EPS_INV = -math.log(_EPS)
 
 KERNEL_FAMILIES = ("Abel", "Rabotnov", "RzhanitsynDavidson", "CHGF", "HavriliakNegami")
 
@@ -234,15 +238,69 @@ def q_kernel(
     return math.exp(-t / tau) * eh
 
 
-def p_kernel(
+def _sin_cos_pi(alpha: float) -> tuple[float, float]:
+    """sin(pi alpha) and cos(pi alpha), the sine taken at min(alpha, 1 - alpha)
+    so that it keeps its digits next to alpha = 1."""
+    return math.sin(math.pi * min(alpha, 1.0 - alpha)), math.cos(math.pi * alpha)
+
+
+def _pole(alpha: float, ln_k: float, theta: float) -> tuple[float, float]:
+    """(r/(1 - r)) e^(-theta/(1 - r)) and 1 - r, for r = k^(1/alpha) < 1:
+    the exponential of a residue at the real pole s = -1/(1 - r)."""
+    ln_r = ln_k / alpha
+    one_minus_r = -math.expm1(ln_r)
+    return math.exp(ln_r - theta / one_minus_r) / one_minus_r, one_minus_r
+
+
+def p_kernel(alpha: float, n_eps: float, tau: float, t: float) -> float:
+    """Resolvent kernel of the third basic operator: with n = n_eps and
+    theta = t/tau, the inverse Laplace transform of its image at tau = 1,
+
+        P^(s) = (1 - x)/(1 + n(1 - x)),    x = (s/(s + 1))^alpha.
+
+    The image has a branch cut on s in [-1, 0] and one real pole, at
+    s = -1/(1 - r) with r = (n/(1 + n))^(1/alpha), so that
+
+        tau^(alpha+1) P(t) = (sin a pi/pi) int_0^1 rho e^(-theta sigma) dsigma / D
+                             + r e^(-theta/(1 - r)) / ((1 - r)^2 n (1 + n) alpha),
+
+    rho = (sigma/(1 - sigma))^alpha, D = (n rho - (1 + n) cos a pi)^2
+    + ((1 + n) sin a pi)^2.  The cut integral is ``quadrature.cut_de`` in
+    v = rho: within 1e-13 of mpmath for alpha in [0.05, 0.9999], n_eps in
+    [0.1, 100] and theta in [1e-3, 1e4], and :class:`NonConvergenceError`
+    where the rule's guards fail.  At n_eps = 0 this is the
+    confluent-hypergeometric kernel of the simple hereditary solid,
+    alpha 1F1(alpha + 1, 2, -theta)/tau^(alpha+1); at alpha = 1 it is
+    exp(-(1 + n) theta)/tau^2.  The time-domain series over Kummer
+    functions is kept as the reference ``_p_kernel_series``.
+    """
+    _check_time(t)
+    if n_eps < 0.0:
+        raise ValueError(f"n_eps must be >= 0, got {n_eps}")
+    theta = t / tau
+    if n_eps == 0.0:
+        return alpha * kummer_1f1(alpha + 1.0, 2.0, -theta) / tau ** (alpha + 1.0)
+    if alpha == 1.0:
+        return math.exp(-(1.0 + n_eps) * theta) / tau**2
+    n1 = 1.0 + n_eps
+    sin_b, cos_b = _sin_cos_pi(alpha)
+    # D = n^2 ((rho - v0)^2 + w^2)
+    cut = cut_de(alpha, theta, 1.0, n1 * cos_b / n_eps, n1 * sin_b / n_eps, True)
+    pole, one_minus_r = _pole(alpha, -math.log1p(1.0 / n_eps), theta)
+    value = sin_b / (alpha * math.pi * n_eps * n_eps) * cut
+    value += pole / (one_minus_r * n_eps * n1 * alpha)
+    return value / tau ** (alpha + 1.0)
+
+
+def _p_kernel_series(
     alpha: float,
     n_eps: float,
     tau: float,
     t: float,
     ctl: SeriesControl = DEFAULT_CONTROL,
 ) -> float:
-    """Resolvent kernel of the third basic operator, outer series in
-    n_eps^k/(n_eps+1)^(k+1) over damped Kummer functions:
+    """Reference for :func:`p_kernel`: the outer series in
+    n_eps^k/(n_eps+1)^(k+1) over damped Kummer functions,
 
         P(t) = tau^-(alpha+1) sum_k n^k/(n+1)^(k+1)
                { alpha(k+1) 1F1[alpha(k+1)+1, 2, -t/tau]
@@ -250,7 +308,7 @@ def p_kernel(
 
     The k = 0 term is the confluent-hypergeometric kernel of the simple
     hereditary solid; the outer terms decay geometrically with ratio
-    n_eps/(n_eps+1).
+    n_eps/(n_eps+1), so large n_eps and t/tau cost many terms and digits.
     """
     _check_time(t)
     if n_eps < 0.0:
@@ -409,26 +467,30 @@ def hn_relaxation_function(
     return _hn_prabhakar(p.alpha, p.beta, theta, 1.0, ctl, "HN relaxation-function series")[0]
 
 
-def p_nu_response(
-    alpha: float,
-    m: float,
-    tau_nu: float,
-    variant: int,
-    t: float,
-    ctl: SeriesControl = DEFAULT_CONTROL,
-) -> float:
+def p_nu_response(alpha: float, m: float, tau_nu: float, variant: int, t: float) -> float:
     """Normalized step response of the simple hereditary solid.
 
     ``variant`` selects the parameterization: 3 gives q = 1/m - 1 (with
     tau_nu the relaxation-side time), 4 gives q = m - 1 (retardation side).
-    Two expansions cover |q| < 1 and |q| > 1:
+    With theta = t/tau_nu it is the inverse Laplace transform of
 
-        P(t) = (1 + q)   sum_n (-q)^n    1F1[alpha(n+1), 1, -t/tau]
-        P(t) = (1 + 1/q) sum_n (-q)^(-n) 1F1[-alpha n,   1, -t/tau]
+        p^(s) = (1 + q) x / (s (1 + q x)),    x = (s/(s + 1))^alpha,
 
-    |q| = 1 is a branch degeneracy where neither series converges.  At
-    alpha = 1 both collapse to the standard-linear-solid exponential
-    exp(-t / (tau (1 + q))).
+    the integral over its branch cut on s in [-1, 0],
+
+        p(t) = (1 + q)(sin a pi/pi) int_0^1 rho e^(-theta sigma) dsigma / (sigma E),
+
+    rho = (sigma/(1 - sigma))^alpha, E = (q rho + cos a pi)^2 + sin^2 a pi,
+    plus, for -1 < q < 0, the residue (1 + q) r e^(-theta/(1 - r)) /
+    (|q| alpha (1 - r)) at the real pole s = -1/(1 - r), r = |q|^(1/alpha).
+    The cut integral is ``quadrature.cut_de`` in v = rho or v = q rho (see
+    below): within 1e-13 of mpmath for alpha in [0.05, 0.9999], q in
+    (-1, 10] (|q| = 1 is not special) and theta in [1e-3, 1e4], and
+    :class:`NonConvergenceError` where the rule's guards fail.
+    At q = 0 it is the confluent-hypergeometric relaxation function
+    1F1(alpha, 1, -theta), at alpha = 1 the standard-linear-solid
+    exponential exp(-theta/(1 + q)).  The two time-domain series over
+    Kummer functions are kept as the reference ``_p_nu_series``.
     """
     _check_time(t)
     if m <= 0.0:
@@ -439,10 +501,43 @@ def p_nu_response(
         q = m - 1.0
     else:
         raise ValueError(f"variant must be 3 or 4, got {variant}")
-    if abs(abs(q) - 1.0) < 1e-14:
-        raise BranchDegeneracyError(
-            f"|q| = 1 (m = {m}, variant {variant}): both series expansions degenerate"
-        )
+    theta = t / tau_nu
+    if alpha == 1.0:
+        return math.exp(-theta / (1.0 + q))
+    if q == 0.0:
+        return kummer_1f1(alpha, 1.0, -theta)
+    sin_b, cos_b = _sin_cos_pi(alpha)
+    # For q > 0 and alpha > 1/2, E peaks at rho = -cos(a pi)/q, about where
+    # sigma = sigma_p = 1/(1 + q^(1/alpha)), with width about sin a pi.  In
+    # v = q rho the peak sits on the node junction, but the steps move to
+    # v = q and v = q theta^-alpha; so v = q rho is taken only while the
+    # peak's weight e^(-theta sigma_p) is above double-precision eps.
+    scale = 1.0
+    if q > 0.0 and alpha > 0.5:
+        sigma_p = 0.5 - 0.5 * math.tanh(0.5 * math.log(q) / alpha)
+        if theta * sigma_p < _LN_EPS_INV:
+            scale = q
+    g = q / scale  # E = g^2 ((v + cos(a pi)/g)^2 + (sin(a pi)/g)^2)
+    cut = cut_de(alpha, theta, scale, -cos_b / g, sin_b / abs(g), False)
+    value = (1.0 + q) * sin_b / (alpha * math.pi * scale * g * g) * cut
+    if q < 0.0:
+        pole, _ = _pole(alpha, math.log(-q), theta)
+        value += (1.0 + q) * pole / (-q * alpha)
+    return value
+
+
+def _p_nu_series(
+    alpha: float, q: float, tau_nu: float, t: float, ctl: SeriesControl = DEFAULT_CONTROL
+) -> float:
+    """Reference for :func:`p_nu_response` at its q: the two time-domain
+    expansions for |q| < 1 and |q| > 1,
+
+        P(t) = (1 + q)   sum_n (-q)^n    1F1[alpha(n+1), 1, -t/tau]
+        P(t) = (1 + 1/q) sum_n (-q)^(-n) 1F1[-alpha n,   1, -t/tau]
+
+    Neither converges at |q| = 1, and both slow down and cancel near it.
+    """
+    _check_time(t)
     x = -t / tau_nu
     if abs(q) < 1.0:
         def terms():

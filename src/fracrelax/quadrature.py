@@ -1,13 +1,15 @@
-"""Quadrature routes: the Rabotnov spectral integrals on one fixed-node
-rule, and adaptive QUADPACK cross-checks for every series in the kernels
-module.
+"""Quadrature routes: the Rabotnov spectral integrals and Shermergor's cut
+integrals on one fixed-node rule, and adaptive QUADPACK cross-checks for
+every series in the kernels module.
 
 The Rabotnov relaxation function and kernel past the series crossover are
 Laplace integrals of a closed-form spectral density; ``i_alpha_de`` and
 ``eh_alpha_de`` take them by one fixed double-exponential rule (tanh-sinh
 on [0, 1], exp-sinh on [1, inf), Takahasi & Mori 1974) whose nodes depend
-on neither alpha nor t, with the half-step rule as error estimate.  numpy
-loads on their first call.
+on neither alpha nor t, with the half-step rule as error estimate.
+``cut_de`` takes the branch-cut integrals of the P_alpha kernel and the
+p_nu step response (``kernels.p_kernel``, ``kernels.p_nu_response``) on
+the same nodes and guards.  numpy loads on their first call.
 
 The rest are the cross-check side: the same spectral integrals I_alpha and
 eh by QUADPACK, the Q/P convolution integrals, and time-domain quadratures
@@ -33,6 +35,7 @@ __all__ = [
     "i_alpha",
     "i_alpha_de",
     "eh_alpha_de",
+    "cut_de",
     "q_conv_unity",
     "p_conv_unity",
     "eh_alpha_integral",
@@ -143,17 +146,22 @@ def eh_alpha_integral(
     return tau ** (alpha - 1.0) * _quad(integrand, 0.0, math.inf, q, "eh integral")
 
 
-# Fixed double-exponential rule for the Rabotnov spectral integrals: step
-# 1/64, nodes k = -358..358 on each half line (1434 in all).  The even k
-# form the step-1/32 rule, and the two sums' difference is the error
-# estimate; it must stay within _DE_REL_BOUND of the value.  The step in
-# the integrand, exp(-theta u^(1/alpha)), is alpha wide in ln u: the rule
-# also needs _DE_MIN_RESOLUTION node spacings across it (below that, at
-# small alpha and large theta, the estimate can miss by 1e-4).
+# Fixed double-exponential rule for the Rabotnov spectral integrals and the
+# P_alpha and p_nu cut integrals: step 1/64, nodes k = -358..358 on each
+# half line (1434 in all).  The even k form the step-1/32 rule, and the two
+# sums' difference is the error estimate; it must stay within
+# _DE_REL_BOUND of the value.  The step in the integrand,
+# exp(-theta u^(1/alpha)), is alpha wide in ln u: the rule also needs
+# _DE_MIN_RESOLUTION node spacings across it (below that, at small alpha
+# and large theta, the estimate can miss by 1e-4).
 _DE_STEP = 1.0 / 64.0
 _DE_HALF_WIDTH = 358
 _DE_REL_BOUND = 1e-4
 _DE_MIN_RESOLUTION = 2.0
+# The nodes spread as |ln u| grows; past |ln u| = 40 they lose a feature one
+# unit of ln u wide without the estimate noticing (cut_de's quadratic rise
+# there was up to 5e-10 off).
+_DE_MAX_LN_FEATURE = 40.0
 
 
 @functools.cache
@@ -190,14 +198,33 @@ def _de_nodes():
     return (*nodes, 2 * int(even.sum()))
 
 
-def _de_resolution(alpha: float, theta: float) -> float:
-    """Tanh-sinh node spacings across the step of exp(-theta u^(1/alpha)):
-    its width alpha in ln u over the spacing of ln u at u0 = theta^-alpha."""
-    ln_u0 = -alpha * math.log(theta)
+def _check_de_resolution(alpha: float, theta: float, what: str, ln_scale: float = 0.0) -> None:
+    """Raise where the step of exp(-theta (u/scale)^(1/alpha)), alpha wide in
+    ln u, spans fewer than _DE_MIN_RESOLUTION tanh-sinh node spacings of
+    ln u at u0 = scale theta^-alpha < 1."""
+    ln_u0 = ln_scale - alpha * math.log(theta)
     ln_v0 = math.log(-math.expm1(ln_u0))  # ln(1 - u0)
     sinh_x = (ln_u0 - ln_v0) / math.pi
     spacing = math.pi * _DE_STEP * math.exp(ln_v0) * math.sqrt(1.0 + sinh_x * sinh_x)
-    return alpha / spacing
+    resolution = alpha / spacing
+    if resolution < _DE_MIN_RESOLUTION:
+        raise NonConvergenceError(
+            f"{what}: step at alpha = {alpha}, theta = {theta} spans "
+            f"{resolution:.2f} node spacings (< {_DE_MIN_RESOLUTION})"
+        )
+
+
+def _de_sum(terms, n_coarse: int, what: str, alpha: float, theta: float) -> float:
+    """The fixed-node sum of ``terms``, one per node with the step-1/32 nodes
+    first, guarded by the half-step estimate."""
+    fine = float(terms.sum())
+    estimate = abs(fine - 2.0 * float(terms[:n_coarse].sum()))
+    if not (fine > 0.0 and estimate <= _DE_REL_BOUND * fine):
+        raise NonConvergenceError(
+            f"{what}: half-step rule differs by {estimate:.3g} from {fine:.17g} "
+            f"at alpha = {alpha}, theta = {theta}"
+        )
+    return fine
 
 
 def _rabotnov_de(alpha: float, theta: float, kernel: bool) -> float:
@@ -211,12 +238,7 @@ def _rabotnov_de(alpha: float, theta: float, kernel: bool) -> float:
 
     what = "eh rule" if kernel else "I_alpha rule"
     u, u_minus_1_sq, ln_u, ln_w, n_coarse = _de_nodes()
-    resolution = _de_resolution(alpha, theta)
-    if resolution < _DE_MIN_RESOLUTION:
-        raise NonConvergenceError(
-            f"{what}: step at alpha = {alpha}, theta = {theta} spans "
-            f"{resolution:.2f} node spacings (< {_DE_MIN_RESOLUTION})"
-        )
+    _check_de_resolution(alpha, theta, what)
     b = alpha * math.pi
     cos_half = math.cos(0.5 * b)
     power = ln_u * (1.0 / alpha)  # ln u^(1/a)
@@ -229,15 +251,47 @@ def _rabotnov_de(alpha: float, theta: float, kernel: bool) -> float:
     )
     if kernel:
         exponent += power
-    terms = np.exp(exponent)
-    fine = float(terms.sum())
-    estimate = abs(fine - 2.0 * float(terms[:n_coarse].sum()))
-    if not (fine > 0.0 and estimate <= _DE_REL_BOUND * fine):
+    return _de_sum(np.exp(exponent), n_coarse, what, alpha, theta)
+
+
+def cut_de(alpha: float, theta: float, scale: float, v0: float, w: float, kernel: bool) -> float:
+    """int_0^inf sigma^k (1 - sigma) e^(-theta sigma) dv / ((v - v0)^2 + w^2),
+    sigma = u/(1 + u), u = (v/scale)^(1/alpha), with k = 1 for the kernel
+    and 0 for the step response, on the fixed nodes.
+
+    This is the branch-cut integral of Shermergor's P_alpha and p_nu images
+    over s = -sigma in (-1, 0), written in v = scale (sigma/(1 - sigma))^alpha
+    (see ``kernels.p_kernel``).  ``scale`` moves a narrow peak of the
+    quadratic onto the node junction v = 1.  At scale = 1 the step of
+    e^(-theta sigma) lies where that of ``_rabotnov_de`` does, and the same
+    two guards apply; a third raises where the quadratic's rise or peak, at
+    v = hypot(v0, w), lies too far from v = 1 for the nodes.
+    """
+    _check_alpha_open(alpha)
+    if not theta >= 0.0:
+        raise ValueError(f"theta must be >= 0, got {theta}")
+    import numpy as np
+
+    what = "P_alpha rule" if kernel else "p_nu rule"
+    feature = math.hypot(v0, w)
+    if abs(math.log(feature)) > _DE_MAX_LN_FEATURE:
         raise NonConvergenceError(
-            f"{what}: half-step rule differs by {estimate:.3g} from {fine:.17g} "
-            f"at alpha = {alpha}, theta = {theta}"
+            f"{what}: the quadratic's feature at v = {feature:.3g} lies beyond "
+            f"the nodes' reach at alpha = {alpha}, theta = {theta}"
         )
-    return fine
+    v, _, ln_v, ln_w, n_coarse = _de_nodes()
+    ln_scale = math.log(scale)
+    if theta > 0.0 and ln_scale < alpha * math.log(theta):  # a step in (0, 1)
+        _check_de_resolution(alpha, theta, what, ln_scale)
+    # u clamped at e^700, past which 1 - sigma = 1/(1 + u) leaves the term
+    # below e^-700 of the others
+    u = np.exp(np.minimum((ln_v - ln_scale) * (1.0 / alpha), 700.0))
+    one_plus_u = 1.0 + u
+    sigma = u / one_plus_u
+    terms = np.exp(ln_w - theta * sigma) / one_plus_u / (np.square(v - v0) + w * w)
+    if kernel:
+        terms *= sigma
+    return _de_sum(terms, n_coarse, what, alpha, theta)
 
 
 def i_alpha_de(alpha: float, theta: float) -> float:
@@ -445,13 +499,13 @@ def p_conv_unity_series(
     q: QuadratureSpec = DEFAULT_QUADRATURE,
     ctl: SeriesControl = DEFAULT_CONTROL,
 ) -> float:
-    """tau^alpha int_0^(theta tau) P(s) ds by plain quadrature (the P kernel
-    is bounded at s = 0)."""
-    from .kernels import p_kernel
+    """tau^alpha int_0^(theta tau) P(s) ds by plain quadrature of the
+    time-domain series kernel (bounded at s = 0)."""
+    from .kernels import _p_kernel_series
 
     t = theta * tau
     value = _quad(
-        lambda s: p_kernel(alpha, n_eps, tau, s, ctl), 0.0, t, q, "P series integral"
+        lambda s: _p_kernel_series(alpha, n_eps, tau, s, ctl), 0.0, t, q, "P series integral"
     )
     return value * tau**alpha
 

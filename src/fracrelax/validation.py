@@ -16,12 +16,15 @@ from .evaluate import laplace_image, modulus
 from .kernels import (
     HNParams,
     KernelModel,
+    _p_kernel_series,
+    _p_nu_series,
     abel_kernel,
     chgf_kernel_R,
     chgf_relaxation_S,
     hn_creep_resolvent_series,
     hn_relaxation_function,
     hn_relaxation_kernel,
+    p_kernel,
     p_nu_response,
     rabotnov_relaxation,
     rzhanitsyn_kernel,
@@ -184,16 +187,19 @@ def check_monotonicity() -> tuple[float, float]:
 
 
 def check_branch_agreement() -> tuple[float, float]:
-    # m <-> 1/m with variant swap 3 <-> 4 describes the same response; both
-    # expansions also collapse to the closed exponential at alpha = 1
+    # the cut rule against the time-domain series at the same points: p_nu
+    # on both series branches (q = 1/m - 1 for variant 3), and P_alpha; both
+    # p_nu expansions also collapse to the closed exponential at alpha = 1
     worst = 0.0
     for m, t in ((0.4, 0.7), (0.7, 1.3), (2.5, 0.5)):
         a = p_nu_response(0.63, m, 1.0, 3, t)
-        b = p_nu_response(0.63, 1.0 / m, 1.0, 4, t)
+        b = _p_nu_series(0.63, 1.0 / m - 1.0, 1.0, t)
         worst = max(worst, abs(a - b) / abs(b))
-    for m, variant in ((0.5, 4), (0.4, 3), (3.0, 4)):
-        q = 1.0 / m - 1.0 if variant == 3 else m - 1.0
-        a = p_nu_response(1.0, m, 1.0, variant, 1.0)
+    a = p_kernel(0.5, 0.5, 1.0, 1.0)
+    b = _p_kernel_series(0.5, 0.5, 1.0, 1.0)
+    worst = max(worst, abs(a - b) / abs(b))
+    for q in (-0.5, 1.5, 2.0):
+        a = _p_nu_series(1.0, q, 1.0, 1.0)
         b = math.exp(-1.0 / (1.0 + q))
         worst = max(worst, abs(a - b) / abs(b))
     return worst, 1e-8

@@ -121,23 +121,65 @@ def prabhakar_with_peak(g, a, b, z, dps=50):
             n += 1
 
 
-def rabotnov(alpha, theta, kernel=False, dps=(30, 45)):
-    """The Rabotnov relaxation function E_alpha(-theta^alpha), or with
-    ``kernel`` the fractional-exponential kernel at tau = 1,
-    theta^(alpha-1) E_{alpha,alpha}(-theta^alpha), by mpmath's Talbot
-    inversion of their images s^(alpha-1)/(s^alpha + 1) and 1/(s^alpha + 1).
-    Adaptive: the precision also sets Talbot's node count, and the two
-    evaluations at ``dps`` must agree to 1e-20 or ArithmeticError is raised."""
+def talbot(make_image, theta, dps=(30, 45)):
+    """The inverse Laplace transform at ``theta`` of the image that
+    ``make_image()`` returns, built and inverted by mpmath's Talbot method
+    at each working precision in ``dps``.  Adaptive: the precision also sets
+    Talbot's node count, and the two evaluations must agree to 1e-20 or
+    ArithmeticError is raised."""
     values = []
     for digits in dps:
         with mp.workdps(digits):
-            a = mp.mpf(alpha)
-            image = (lambda s: 1 / (s**a + 1)) if kernel else (lambda s: s ** (a - 1) / (s**a + 1))
-            values.append(mp.invertlaplace(image, mp.mpf(theta), method="talbot"))
+            values.append(mp.invertlaplace(make_image(), mp.mpf(theta), method="talbot"))
     low, high = values
     if abs(low - high) > mp.mpf("1e-20") * abs(high):
         raise ArithmeticError(f"Talbot at {dps} digits disagrees: {low} vs {high}")
     return float(high)
+
+
+def rabotnov(alpha, theta, kernel=False, dps=(30, 45)):
+    """The Rabotnov relaxation function E_alpha(-theta^alpha), or with
+    ``kernel`` the fractional-exponential kernel at tau = 1,
+    theta^(alpha-1) E_{alpha,alpha}(-theta^alpha), by Talbot inversion of
+    their images s^(alpha-1)/(s^alpha + 1) and 1/(s^alpha + 1)."""
+
+    def make_image():
+        a = mp.mpf(alpha)
+        return (lambda s: 1 / (s**a + 1)) if kernel else (lambda s: s ** (a - 1) / (s**a + 1))
+
+    return talbot(make_image, theta, dps)
+
+
+def shermergor_p(alpha, n_eps, theta, dps=(30, 45)):
+    """tau^(alpha+1) P(t) of the third basic operator at theta = t/tau, by
+    Talbot inversion of its image (1 - x)/(1 + n(1 - x)), x = (s/(s+1))^alpha."""
+
+    def make_image():
+        a, n = mp.mpf(alpha), mp.mpf(n_eps)
+
+        def image(s):
+            y = 1 - (s / (s + 1)) ** a
+            return y / (1 + n * y)
+
+        return image
+
+    return talbot(make_image, theta, dps)
+
+
+def shermergor_p_nu(alpha, q, theta, dps=(30, 45)):
+    """The simple hereditary solid's step response at theta = t/tau_nu, by
+    Talbot inversion of its image (1 + q) x / (s (1 + q x)), x = (s/(s+1))^alpha."""
+
+    def make_image():
+        a, q_ = mp.mpf(alpha), mp.mpf(q)
+
+        def image(s):
+            x = (s / (s + 1)) ** a
+            return (1 + q_) * x / (s * (1 + q_ * x))
+
+        return image
+
+    return talbot(make_image, theta, dps)
 
 
 def p_nu_series(alpha, m, variant, tau, t, n_terms=80):

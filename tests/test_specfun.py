@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracrelax.errors import BranchDegeneracyError, NonConvergenceError, PoleError
+from fracrelax.errors import NonConvergenceError, PoleError
 from fracrelax.kernels import HNParams, chgf_kernel_R, chgf_relaxation_S, hn_relaxation_kernel
 from fracrelax.specfun import (
     DEFAULT_CONTROL,
